@@ -8,15 +8,8 @@ achieved ratio never drops below 6/23.
 
 from fractions import Fraction
 
-from maxminfair import (
-    brute_force_opt,
-    bundle_value,
-    complete_allocation,
-    compute_T_star,
-    find_perfect_matching,
-    generate_instance,
-    normalize,
-)
+from maxminfair import brute_force_opt, compute_T_star, generate_instance
+from maxminfair.cli import solve
 
 BOUND = Fraction(23, 6)
 
@@ -32,10 +25,7 @@ for seed in range(12):
     gap = t_star / opt
     worst_gap = max(worst_gap, gap)
 
-    ni = normalize(instance, t_star)
-    outcome = find_perfect_matching(ni)
-    allocation = complete_allocation(instance, outcome.matching, t_star)
-    achieved = min(bundle_value(instance, p, allocation[p]) for p in instance.players)
+    achieved = solve(instance, t_star).min_value
     ratio = achieved / t_star
     print(
         f"{seed:>4} {str(t_star):>8} {str(opt):>8} {str(gap):>8} "

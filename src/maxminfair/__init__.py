@@ -22,7 +22,6 @@ from .simplex import LinearProgram, LpOutcome, solve_lp, verify_outcome
 from .configlp import (
     ClpVerdict,
     ConfigColumn,
-    DualPrices,
     clp_feasible,
     compute_T_star,
     min_cost_configuration,
@@ -76,7 +75,6 @@ __all__ = [
     "verify_outcome",
     "ClpVerdict",
     "ConfigColumn",
-    "DualPrices",
     "clp_feasible",
     "compute_T_star",
     "min_cost_configuration",

@@ -20,62 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .configlp import min_cost_configuration
+from .configlp import BlockerGroup, DualCertificate, min_cost_configuration
 from .errors import StateNotStuck
 from .instances import NormalizedInstance, format_rational
 from .matching import SearchState, find_addable_edge
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class BlockerGroup:
-    """Players activated by one blocker and the resources its edges cover."""
-
-    index: int
-    players: tuple[str, ...]
-    resources: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class DualCertificate:
-    y: Mapping[str, Fraction]
-    z: Mapping[str, Fraction]
-    blocker_groups: tuple[BlockerGroup, ...]
-
-    @property
-    def objective(self) -> Fraction:
-        return sum(self.y.values(), _ZERO) - sum(self.z.values(), _ZERO)
-
-    def scaled(self, factor: Fraction) -> "DualCertificate":
-        factor = Fraction(factor)
-        return DualCertificate(
-            y={p: v * factor for p, v in self.y.items()},
-            z={r: v * factor for r, v in self.z.items()},
-            blocker_groups=self.blocker_groups,
-        )
-
-    def balance(self, group: BlockerGroup) -> Fraction:
-        inflow = sum((self.y[p] for p in group.players), _ZERO)
-        outflow = sum((self.z[r] for r in group.resources), _ZERO)
-        return inflow - outflow
-
-    def to_json_dict(self) -> dict:
-        return {
-            "y": {p: format_rational(v) for p, v in self.y.items()},
-            "z": {r: format_rational(v) for r, v in self.z.items()},
-            "objective": format_rational(self.objective),
-            "blockers": [
-                {
-                    "index": g.index,
-                    "players": list(g.players),
-                    "resources": list(g.resources),
-                    "balance": format_rational(self.balance(g)),
-                }
-                for g in self.blocker_groups
-            ],
-        }
 
 
 def assert_stuck(ni: NormalizedInstance, state: SearchState) -> None:

@@ -33,7 +33,7 @@ from .instances import (
     parse_rational,
     validate_instance,
 )
-from .matching import complete_allocation, find_perfect_matching
+from .matching import Matching, SearchOutcome, complete_allocation, find_perfect_matching
 from .oracle import brute_force_opt, verify_allocation
 
 EXIT_OK = 0
@@ -47,37 +47,61 @@ CERTIFIED_INFEASIBLE = "Certified-Infeasible"
 
 
 @dataclass(frozen=True)
-class RunReport:
-    """Outcome summary of one solve run."""
+class SolveResult:
+    """One solve at a fixed target: an allocation, or a verified certificate.
 
-    players: int
-    resources: int
-    t_star: dict
-    target: Fraction
-    outcome: str
-    per_player_values: Optional[dict]
+    `search` is None at target 0, where no search runs.  `certificate` is the
+    certificate JSON with both check reports embedded, present exactly when
+    the search halted.
+    """
+
+    search: Optional[SearchOutcome]
+    allocation: Optional[dict[str, set[str]]]
+    values: Optional[dict[str, Fraction]]
     min_value: Optional[Fraction]
-    ratio: Optional[Fraction]
-    builds: int
-    contracts: int
-    wall_time: float
     certificate: Optional[dict] = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "players": self.players,
-            "resources": self.resources,
-            "t_star": self.t_star,
-            "target": format_rational(self.target),
-            "outcome": self.outcome,
-            "per_player_values": self.per_player_values,
-            "min_value": None if self.min_value is None else format_rational(self.min_value),
-            "ratio": None if self.ratio is None else format_rational(self.ratio),
-            "builds": self.builds,
-            "contracts": self.contracts,
-            "wall_time_seconds": round(self.wall_time, 6),
-            "certificate": self.certificate,
-        }
+    @property
+    def outcome(self) -> str:
+        return ALLOCATED if self.allocation is not None else CERTIFIED_INFEASIBLE
+
+    @property
+    def certified(self) -> bool:
+        """Whether both checks of the certificate passed."""
+        cert = self.certificate
+        return (
+            cert is not None
+            and cert["feasibility_check"]["passed"]
+            and cert["balance_check"]["passed"]
+        )
+
+
+def solve(instance: Instance, target: Fraction) -> SolveResult:
+    """Allocate at `target`, or certify that the search cannot.
+
+    At target 0 the leftover rule hands out every resource.  Otherwise the
+    search runs on the instance normalized at `target`; a perfect matching is
+    completed into an allocation, and a halted search yields a dual
+    certificate whose feasibility and blocker balances are both re-checked.
+    """
+    target = Fraction(target)
+    search = None
+    matching = Matching.empty()
+    if target != 0:
+        ni = normalize(instance, target)
+        search = find_perfect_matching(ni)
+        if not search.perfect:
+            cert = construct_dual_certificate(ni, search.state)
+            feasibility = verify_certificate_feasibility(ni, cert)
+            balances = check_blocker_balances(ni, search.state, cert)
+            certificate = cert.to_json_dict()
+            certificate["feasibility_check"] = feasibility.to_json_dict()
+            certificate["balance_check"] = balances.to_json_dict()
+            return SolveResult(search, None, None, None, certificate)
+        matching = search.matching
+    allocation = complete_allocation(instance, matching, target)
+    values = {p: bundle_value(instance, p, allocation[p]) for p in instance.players}
+    return SolveResult(search, allocation, values, min(values.values()))
 
 
 def _load_json(path: str):
@@ -103,16 +127,6 @@ def _resolve_t_star(instance: Instance, delta: Fraction, budget: int):
         }
 
 
-def _trivial_allocation(instance: Instance) -> dict[str, set[str]]:
-    """Leftover rule applied to everything; used when the target is zero."""
-    allocation: dict[str, set[str]] = {p: set() for p in instance.players}
-    for r in instance.resources:
-        desirers = instance.desirers(r)
-        owner = desirers[0] if desirers else instance.players[0]
-        allocation[owner].add(r)
-    return allocation
-
-
 def cmd_solve(args) -> int:
     start = time.perf_counter()
     instance = _load_instance(args.instance)
@@ -120,60 +134,34 @@ def cmd_solve(args) -> int:
     t_star, t_star_info = _resolve_t_star(instance, delta, args.budget)
     target = t_star if args.target == "auto" else parse_rational(args.target)
 
-    builds = contracts = 0
-    certificate_json = None
-    trace_rows: list[dict] = []
-
-    if target == 0:
-        allocation = _trivial_allocation(instance)
-        outcome = ALLOCATED
-    else:
-        ni = normalize(instance, target)
-        result = find_perfect_matching(ni)
-        builds, contracts = result.builds, result.contracts
-        for ext_index, ext in enumerate(result.extensions):
-            for ev in ext.trace:
-                row = ev.to_json_dict()
-                row["extension"] = ext_index
-                trace_rows.append(row)
-        if result.perfect:
-            allocation = complete_allocation(instance, result.matching, target)
-            outcome = ALLOCATED
-        else:
-            outcome = CERTIFIED_INFEASIBLE
-            cert = construct_dual_certificate(ni, result.state)
-            feasibility = verify_certificate_feasibility(ni, cert)
-            balances = check_blocker_balances(ni, result.state, cert)
-            certificate_json = cert.to_json_dict()
-            certificate_json["feasibility_check"] = feasibility.to_json_dict()
-            certificate_json["balance_check"] = balances.to_json_dict()
-            if not (feasibility.passed and balances.passed):
-                print("internal error: certificate failed verification", file=sys.stderr)
-                return EXIT_FAIL
-            allocation = None
+    result = solve(instance, target)
+    search = result.search
+    if result.certificate is not None and not result.certified:
+        print("internal error: certificate failed verification", file=sys.stderr)
+        return EXIT_FAIL
 
     if args.trace:
+        extensions = () if search is None else search.extensions
         with open(args.trace, "w", encoding="utf-8") as handle:
-            for row in trace_rows:
-                handle.write(json.dumps(row) + "\n")
+            for ext_index, ext in enumerate(extensions):
+                for ev in ext.trace:
+                    row = ev.to_json_dict()
+                    row["extension"] = ext_index
+                    handle.write(json.dumps(row) + "\n")
 
-    min_value = None
     per_player = None
     ratio = None
-    if allocation is not None:
-        per_player = {
-            p: format_rational(bundle_value(instance, p, allocation[p]))
-            for p in instance.players
-        }
-        min_value = min(bundle_value(instance, p, allocation[p]) for p in instance.players)
+    if result.allocation is not None:
+        per_player = {p: format_rational(v) for p, v in result.values.items()}
         if t_star_info["mode"] == "exact" and t_star > 0:
-            ratio = min_value / t_star
+            ratio = result.min_value / t_star
 
         allocation_json = {
             "target": format_rational(target),
-            "min_value": format_rational(min_value),
+            "min_value": format_rational(result.min_value),
             "allocation": {
-                p: instance.sorted_resources(allocation[p]) for p in instance.players
+                p: instance.sorted_resources(result.allocation[p])
+                for p in instance.players
             },
         }
         if args.out:
@@ -192,22 +180,22 @@ def cmd_solve(args) -> int:
             )
             return EXIT_FAIL
 
-    report = RunReport(
-        players=instance.num_players,
-        resources=instance.num_resources,
-        t_star=t_star_info,
-        target=target,
-        outcome=outcome,
-        per_player_values=per_player,
-        min_value=min_value,
-        ratio=ratio,
-        builds=builds,
-        contracts=contracts,
-        wall_time=time.perf_counter() - start,
-        certificate=certificate_json,
-    )
-    print(json.dumps(report.to_json_dict(), indent=2))
-    return EXIT_OK if outcome == ALLOCATED else EXIT_INFEASIBLE
+    report = {
+        "players": instance.num_players,
+        "resources": instance.num_resources,
+        "t_star": t_star_info,
+        "target": format_rational(target),
+        "outcome": result.outcome,
+        "per_player_values": per_player,
+        "min_value": None if result.min_value is None else format_rational(result.min_value),
+        "ratio": None if ratio is None else format_rational(ratio),
+        "builds": 0 if search is None else search.builds,
+        "contracts": 0 if search is None else search.contracts,
+        "wall_time_seconds": round(time.perf_counter() - start, 6),
+        "certificate": result.certificate,
+    }
+    print(json.dumps(report, indent=2))
+    return EXIT_OK if result.allocation is not None else EXIT_INFEASIBLE
 
 
 def cmd_gen(args) -> int:
@@ -233,13 +221,15 @@ def cmd_gap(args) -> int:
         min_value = None
         ratio = None
         if t_star > 0:
-            ni = normalize(instance, t_star)
-            result = find_perfect_matching(ni)
-            assert result.perfect  # guaranteed at targets within the optimum
-            allocation = complete_allocation(instance, result.matching, t_star)
-            min_value = min(
-                bundle_value(instance, p, allocation[p]) for p in instance.players
-            )
+            result = solve(instance, t_star)
+            if result.allocation is None:
+                print(
+                    f"internal error: search halted at T* = {t_star} "
+                    f"on trial {trial}",
+                    file=sys.stderr,
+                )
+                return EXIT_FAIL
+            min_value = result.min_value
             ratio = min_value / t_star
         degenerate = opt == 0
         gap = None if degenerate else t_star / opt
@@ -276,8 +266,14 @@ def cmd_verify(args) -> int:
     payload = _load_json(args.allocation)
     if not isinstance(payload, dict) or "allocation" not in payload:
         raise InvalidInstance("allocation file must contain an 'allocation' object")
+    allocation = payload["allocation"]
+    if not isinstance(allocation, dict) or not all(
+        isinstance(bundle, list) and all(isinstance(r, str) for r in bundle)
+        for bundle in allocation.values()
+    ):
+        raise InvalidInstance("allocation must map player ids to lists of resource ids")
     threshold = parse_rational(args.threshold)
-    min_value = verify_allocation(instance, payload["allocation"])
+    min_value = verify_allocation(instance, allocation)
     passed = min_value >= threshold
     print(
         json.dumps(

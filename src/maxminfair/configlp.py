@@ -42,21 +42,57 @@ class ConfigColumn:
 
 
 @dataclass(frozen=True)
-class DualPrices:
-    """Prices (y per player, z per resource) for the configuration dual."""
+class BlockerGroup:
+    """Players activated by one blocker and the resources its edges cover."""
+
+    index: int
+    players: tuple[str, ...]
+    resources: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class DualCertificate:
+    """Prices (y per player, z per resource) for the configuration dual.
+
+    The LP's infeasibility verdicts carry them bare; certificates built from
+    a stuck search also carry the blocker groups their objective splits into.
+    """
 
     y: Mapping[str, Fraction]
     z: Mapping[str, Fraction]
+    blocker_groups: tuple[BlockerGroup, ...] = ()
 
     @property
     def objective(self) -> Fraction:
         return sum(self.y.values(), _ZERO) - sum(self.z.values(), _ZERO)
+
+    def scaled(self, factor: Fraction) -> "DualCertificate":
+        factor = Fraction(factor)
+        return DualCertificate(
+            y={p: v * factor for p, v in self.y.items()},
+            z={r: v * factor for r, v in self.z.items()},
+            blocker_groups=self.blocker_groups,
+        )
+
+    def balance(self, group: BlockerGroup) -> Fraction:
+        inflow = sum((self.y[p] for p in group.players), _ZERO)
+        outflow = sum((self.z[r] for r in group.resources), _ZERO)
+        return inflow - outflow
 
     def to_json_dict(self) -> dict:
         return {
             "y": {p: format_rational(v) for p, v in self.y.items()},
             "z": {r: format_rational(v) for r, v in self.z.items()},
             "objective": format_rational(self.objective),
+            "blockers": [
+                {
+                    "index": g.index,
+                    "players": list(g.players),
+                    "resources": list(g.resources),
+                    "balance": format_rational(self.balance(g)),
+                }
+                for g in self.blocker_groups
+            ],
         }
 
 
@@ -83,7 +119,7 @@ class TranscriptEntry:
 class ClpVerdict:
     status: str
     solution: Optional[tuple[tuple[ConfigColumn, Fraction], ...]] = None
-    prices: Optional[DualPrices] = None
+    prices: Optional[DualCertificate] = None
     transcript: tuple[TranscriptEntry, ...] = ()
 
     @property
@@ -273,7 +309,7 @@ def _final_verdict(instance, target, pool, outcome, y, z, transcript):
             transcript=tuple(transcript),
         )
 
-    prices = DualPrices(y=dict(y), z=dict(z))
+    prices = DualCertificate(y=dict(y), z=dict(z))
     _assert_prices_feasible(instance, target, prices)
     assert prices.objective > 0
     return ClpVerdict(
@@ -281,7 +317,7 @@ def _final_verdict(instance, target, pool, outcome, y, z, transcript):
     )
 
 
-def _assert_prices_feasible(instance, target, prices: DualPrices) -> None:
+def _assert_prices_feasible(instance, target, prices: DualCertificate) -> None:
     """Re-verify an infeasibility certificate with the pricing search."""
     for p in instance.players:
         priced = min_cost_configuration(instance, p, prices.z, target)

@@ -147,11 +147,16 @@ def validate_instance(raw) -> Instance:
     if not isinstance(raw, Mapping):
         raise InvalidInstance("instance description must be a mapping")
     try:
-        raw_players = list(raw["players"])
-        raw_resources = list(raw["resources"])
+        raw_players = raw["players"]
+        raw_resources = raw["resources"]
     except KeyError as exc:
         raise InvalidInstance(f"missing field: {exc.args[0]!r}") from None
     raw_desires = raw.get("desires", {})
+    for name, field_value in (("players", raw_players), ("resources", raw_resources)):
+        if not isinstance(field_value, (list, tuple)):
+            raise InvalidInstance(f"{name} must be a list: {field_value!r}")
+    if not isinstance(raw_desires, Mapping):
+        raise InvalidInstance(f"desires must be a mapping: {raw_desires!r}")
 
     if not raw_players:
         raise EmptyPlayers("instance must have at least one player")
@@ -192,7 +197,11 @@ def validate_instance(raw) -> Instance:
     desire: dict[str, frozenset[str]] = {}
     for p in players:
         wanted = raw_desires.get(p, [])
+        if not isinstance(wanted, (list, tuple, set, frozenset)):
+            raise InvalidInstance(f"desires of {p!r} must be a list: {wanted!r}")
         for r in wanted:
+            if not isinstance(r, str):
+                raise InvalidInstance(f"player {p!r} desires a non-id {r!r}")
             if r not in resource_set:
                 raise UnknownResource(f"player {p!r} desires unknown resource {r!r}")
         desire[p] = frozenset(wanted)

@@ -531,26 +531,27 @@ def find_perfect_matching(
 def complete_allocation(
     instance: Instance, matching: Matching, target: Fraction
 ) -> dict[str, set[str]]:
-    """Turn a perfect matching into a full partition of the resources.
+    """Turn a matching into a full partition of the resources.
 
-    Every player keeps their matched bundle (worth at least 6/23 of the
-    target); each leftover resource goes to the lowest-index player desiring
-    it, or to the first player when nobody does.
+    Every player keeps their matched bundle, which must be worth at least
+    6/23 of the target (an unmatched player's empty bundle is worth 0, so at
+    target 0 any matching, the empty one included, completes); each leftover
+    resource goes to the lowest-index player desiring it, or to the first
+    player when nobody does.
     """
     target = Fraction(target)
-    matched_players = matching.players()
-    missing = [p for p in instance.players if p not in matched_players]
-    if missing:
-        raise MatchingNotPerfect(f"unmatched players: {missing}")
+    edge_of = {e.player: e for e in matching}
     allocation: dict[str, set[str]] = {p: set() for p in instance.players}
-    for e in matching:
-        worth = bundle_value(instance, e.player, e.bundle)
+    for p in instance.players:
+        e = edge_of.get(p)
+        bundle = frozenset() if e is None else e.bundle
+        worth = bundle_value(instance, p, bundle)
         if worth < GUARANTEE_FRACTION * target:
             raise MatchingNotPerfect(
-                f"bundle for {e.player!r} is worth {worth}, below the "
+                f"bundle for {p!r} is worth {worth}, below the "
                 f"guarantee at target {target}"
             )
-        allocation[e.player] |= set(e.bundle)
+        allocation[p] |= bundle
 
     taken = matching.resources()
     for r in instance.resources:

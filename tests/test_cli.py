@@ -1,16 +1,24 @@
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
-from maxminfair import validate_instance
+import pytest
+
+from maxminfair import cli, format_rational, validate_instance
 from maxminfair.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
     EXIT_INFEASIBLE,
     EXIT_INPUT,
     EXIT_OK,
+    SolveResult,
     main,
+    solve,
 )
 
 from conftest import make_instance
@@ -131,6 +139,11 @@ class TestSolve:
         assert code == EXIT_OK
         assert report["outcome"] == "Allocated"
 
+    def test_wrong_shape_instance(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"players": ["p1"], "resources": 5}))
+        assert main(["solve", "--instance", str(bad)]) == EXIT_INPUT
+
     def test_bracket_fallback_on_tiny_budget(self, capsys, tmp_path, ten_thin):
         inst_path = write_instance(tmp_path, ten_thin)
         code, report = run_cli(
@@ -187,6 +200,119 @@ class TestVerify:
         )
         assert code == EXIT_INPUT
 
+    def test_malformed_allocation(self, capsys, tmp_path, two_fat):
+        inst_path = write_instance(tmp_path, two_fat)
+        alloc_path = tmp_path / "alloc.json"
+        for allocation in ({"p1": 5}, ["a", "b"], {"p1": [["a"]], "p2": ["b"]}):
+            alloc_path.write_text(json.dumps({"allocation": allocation}))
+            code = main(
+                ["verify", "--instance", inst_path, "--allocation", str(alloc_path)]
+            )
+            assert code == EXIT_INPUT, allocation
+
+
+class TestSolveLibrary:
+    """`solve` is the pipeline behind `maxminfair solve`: same numbers."""
+
+    @pytest.mark.parametrize(
+        "fixture, target, outcome",
+        [
+            ("two_fat", None, "Allocated"),
+            ("shared_single", "1", "Certified-Infeasible"),
+            ("shared_single", "0", "Allocated"),
+        ],
+    )
+    def test_agrees_with_cli_report(
+        self, request, capsys, tmp_path, fixture, target, outcome
+    ):
+        inst = request.getfixturevalue(fixture)
+        argv = ["solve", "--instance", write_instance(tmp_path, inst)]
+        if target is not None:
+            argv += ["--target", target]
+        code, report = run_cli(capsys, *argv)
+        result = solve(inst, F(report["target"]))
+
+        assert result.outcome == report["outcome"] == outcome
+        assert code == (EXIT_OK if outcome == "Allocated" else EXIT_INFEASIBLE)
+        if result.allocation is None:
+            assert result.values is None and result.min_value is None
+            assert result.certified
+            assert result.certificate == report["certificate"]
+        else:
+            assert result.certificate is None and report["certificate"] is None
+            assert {
+                p: format_rational(v) for p, v in result.values.items()
+            } == report["per_player_values"]
+            assert format_rational(result.min_value) == report["min_value"]
+        if result.search is None:
+            assert target == "0"
+            assert report["builds"] == report["contracts"] == 0
+        else:
+            assert result.search.builds == report["builds"]
+            assert result.search.contracts == report["contracts"]
+
+    def test_target_zero_is_the_leftover_rule(self, shared_single):
+        result = solve(shared_single, F(0))
+        assert result.search is None
+        assert result.allocation == {"p1": {"r"}, "p2": set()}
+        assert result.min_value == 0
+
+
+def _load_benchmark_tracing(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses resolve their annotations through sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hooks_resolve_and_fire(
+    monkeypatch, capsys, tmp_path, two_fat, shared_single
+):
+    """The benchmark's traced run wraps module attributes; `solve` must keep
+    calling its layers through `cli`'s own bindings, or the spans go dark."""
+    tracing = _load_benchmark_tracing(monkeypatch)
+    for module_name, attr, _, _ in tracing.WRAPS:
+        module = importlib.import_module(f"maxminfair.{module_name}")
+        assert callable(getattr(module, attr, None)), (module_name, attr)
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    allocated = (
+        "compute_T_star",
+        "normalize",
+        "find_perfect_matching",
+        "complete_allocation",
+        "verify_allocation",
+    )
+    certified = (
+        "construct_dual_certificate",
+        "verify_certificate_feasibility",
+        "check_blocker_balances",
+    )
+    for name in allocated + certified:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+
+    code, _ = run_cli(capsys, "solve", "--instance", write_instance(tmp_path, two_fat))
+    assert code == EXIT_OK
+    assert all(calls[name] >= 1 for name in allocated), calls
+    code, _ = run_cli(
+        capsys,
+        "solve", "--instance", write_instance(tmp_path, shared_single),
+        "--target", "1",
+    )
+    assert code == EXIT_INFEASIBLE
+    assert all(calls[name] == 1 for name in certified), calls
+
 
 class TestGap:
     def test_deterministic_table(self, capsys):
@@ -203,6 +329,15 @@ class TestGap:
             if not row["degenerate"]:
                 assert F(row["gap"]) <= F(23, 6)
                 assert F(row["ratio"]) >= F(6, 23)
+
+    def test_halt_at_t_star_is_an_internal_error(self, capsys, monkeypatch):
+        halted = SolveResult(search=None, allocation=None, values=None, min_value=None)
+        monkeypatch.setattr(cli, "solve", lambda instance, target: halted)
+        code = main(
+            ["gap", "--players", "3", "--resources", "5", "--trials", "1", "--seed", "3"]
+        )
+        assert code == EXIT_FAIL
+        assert capsys.readouterr().err.startswith("internal error:")
 
     def test_budget_exit(self, capsys):
         code = main(

@@ -92,6 +92,39 @@ class TestValidateInstance:
         with pytest.raises(UnknownPlayer):
             make_instance({"a": "1"}, {"p1": ["a"], "ghost": ["a"]}, players=["p1"])
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"players": "ab", "resources": [], "desires": {}},
+            {"players": ["p1"], "resources": 5, "desires": {}},
+            {
+                "players": ["p1"],
+                "resources": [{"id": "a", "value": "1"}],
+                "desires": {"p1": "a"},
+            },
+            {
+                "players": ["p1"],
+                "resources": [{"id": "r", "value": "1"}],
+                "desires": [["p1", ["r"]]],
+            },
+            {
+                "players": ["p1"],
+                "resources": [{"id": "r", "value": "1"}],
+                "desires": {"p1": [["r"]]},
+            },
+        ],
+        ids=[
+            "players-string",
+            "resources-int",
+            "desires-string",
+            "desires-list",
+            "desire-nested-list",
+        ],
+    )
+    def test_wrong_shapes_rejected(self, raw):
+        with pytest.raises(InvalidInstance):
+            validate_instance(raw)
+
     def test_ids_keep_input_order(self):
         inst = make_instance(
             {"z": "1", "a": "1"}, {"q": ["z"], "b": ["a"]}, players=["q", "b"]

@@ -325,6 +325,15 @@ class TestCompleteAllocation:
         allocation = complete_allocation(inst, matching, F(1))
         assert allocation["p1"] == {"a", "junk"}
 
+    def test_empty_matching_at_target_zero_is_the_leftover_rule(self):
+        inst = make_instance(
+            {"a": "1", "b": "1/2", "junk": "1/5"},
+            {"p1": ["b"], "p2": ["a", "b"], "p3": []},
+            players=["p1", "p2", "p3"],
+        )
+        allocation = complete_allocation(inst, Matching.empty(), F(0))
+        assert allocation == {"p1": {"b", "junk"}, "p2": {"a"}, "p3": set()}
+
     def test_not_perfect_rejected(self, two_fat):
         with pytest.raises(MatchingNotPerfect):
             complete_allocation(two_fat, Matching.of([fat_edge("p1", "a")]), F(1))
