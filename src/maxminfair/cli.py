@@ -22,7 +22,12 @@ from .certificates import (
     verify_certificate_feasibility,
 )
 from .configlp import DEFAULT_BREAKPOINT_BUDGET, compute_T_star
-from .errors import BudgetExceeded, InvalidInstance, MaxMinFairError
+from .errors import (
+    BudgetExceeded,
+    InvalidInstance,
+    MaxMinFairError,
+    VerificationFailed,
+)
 from .generators import KINDS, generate_instance
 from .instances import (
     GUARANTEE_FRACTION,
@@ -337,6 +342,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except VerificationFailed as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (InvalidInstance, MaxMinFairError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

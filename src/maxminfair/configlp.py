@@ -20,7 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .errors import BudgetExceeded, InvalidTarget, NegativePrice
+from .errors import (
+    BudgetExceeded,
+    InvalidTarget,
+    NegativePrice,
+    VerificationFailed,
+)
 from .instances import Instance, bundle_value, format_rational
 from .simplex import LinearProgram, solve_lp, OPTIMAL
 
@@ -200,21 +205,18 @@ def _master_lp(
     """Phase-1 master: minimize total shortfall, one unit slack per player."""
     m = len(instance.players)
     width = len(pool) + m
-    objective = [_ZERO] * len(pool) + [Fraction(1)] * m
-    rows = []
-    for pi, p in enumerate(instance.players):
-        row = [_ZERO] * width
-        for j, col in enumerate(pool):
-            if col.player == p:
-                row[j] = Fraction(1)
-        row[len(pool) + pi] = Fraction(1)
-        rows.append((row, ">=", Fraction(1)))
-    for r in instance.resources:
-        row = [_ZERO] * width
-        for j, col in enumerate(pool):
-            if r in col.bundle:
-                row[j] = Fraction(1)
-        rows.append((row, "<=", Fraction(1)))
+    one = Fraction(1)
+    objective = [_ZERO] * len(pool) + [one] * m
+    player_rows = [[_ZERO] * width for _ in instance.players]
+    resource_rows = [[_ZERO] * width for _ in instance.resources]
+    for j, col in enumerate(pool):
+        player_rows[instance.player_index(col.player)][j] = one
+        for r in col.bundle:
+            resource_rows[instance.resource_index(r)][j] = one
+    for pi, row in enumerate(player_rows):
+        row[len(pool) + pi] = one
+    rows = [(row, ">=", one) for row in player_rows]
+    rows += [(row, "<=", one) for row in resource_rows]
     return LinearProgram.minimize(objective, rows)
 
 
@@ -236,7 +238,8 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
     while True:
         iteration += 1
         outcome = solve_lp(_master_lp(instance, pool))
-        assert outcome.status == OPTIMAL  # master always has the slack point
+        if outcome.status != OPTIMAL:  # the master always has the slack point
+            raise VerificationFailed(f"master LP reported {outcome.status}")
         m = len(instance.players)
         y = {
             p: outcome.dual[pi] for pi, p in enumerate(instance.players)
@@ -301,8 +304,10 @@ def _final_verdict(instance, target, pool, outcome, y, z, transcript):
                 for r in col.bundle:
                     used[r] += w
         # Exact re-check of both primal constraint families.
-        assert all(received[p] >= 1 for p in instance.players)
-        assert all(used[r] <= 1 for r in instance.resources)
+        if not all(received[p] >= 1 for p in instance.players):
+            raise VerificationFailed("master solution leaves a player short")
+        if not all(used[r] <= 1 for r in instance.resources):
+            raise VerificationFailed("master solution overuses a resource")
         return ClpVerdict(
             status=FEASIBLE,
             solution=tuple(solution),
@@ -311,7 +316,10 @@ def _final_verdict(instance, target, pool, outcome, y, z, transcript):
 
     prices = DualCertificate(y=dict(y), z=dict(z))
     _assert_prices_feasible(instance, target, prices)
-    assert prices.objective > 0
+    if prices.objective <= 0:
+        raise VerificationFailed(
+            f"infeasibility prices have objective {prices.objective} <= 0"
+        )
     return ClpVerdict(
         status=INFEASIBLE, prices=prices, transcript=tuple(transcript)
     )
@@ -322,7 +330,7 @@ def _assert_prices_feasible(instance, target, prices: DualCertificate) -> None:
     for p in instance.players:
         priced = min_cost_configuration(instance, p, prices.z, target)
         if priced is not None and priced[0] < prices.y[p]:
-            raise AssertionError(
+            raise VerificationFailed(
                 f"dual certificate violated for player {p!r}: "
                 f"{priced[0]} < {prices.y[p]}"
             )

@@ -67,3 +67,7 @@ class NotAPartition(MaxMinFairError, ValueError):
 
 class StateNotStuck(MaxMinFairError, ValueError):
     """Dual certificates are only defined for halted search states."""
+
+
+class VerificationFailed(MaxMinFairError, RuntimeError):
+    """An exact re-check of a computed result failed: a solver fault."""

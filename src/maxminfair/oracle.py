@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BudgetExceeded, NotAPartition
+from .errors import BudgetExceeded, NotAPartition, VerificationFailed
 from .instances import Instance, NormalizedInstance, bundle_value
 from .matching import (
     INFINITY,
@@ -24,7 +24,7 @@ from .matching import (
     edge_in_hypergraph,
     is_minimal_thin_edge,
 )
-from .simplex import LinearProgram, solve_lp, OPTIMAL
+from .simplex import LinearProgram, solve_lp, verify_outcome
 
 _ZERO = Fraction(0)
 
@@ -141,6 +141,10 @@ def enumerated_clp_feasible(instance: Instance, target: Fraction) -> bool:
 
     Restricting to minimal configurations loses nothing: shrinking a
     configuration keeps the player covered and only relaxes resource usage.
+    The check is posed as the always-feasible min-shortfall LP (one unit
+    slack per player row), and its optimum is re-verified with
+    `verify_outcome`, so the answer rests on that exact check rather than
+    on the solver's own status.
     """
     columns = []
     for p in instance.players:
@@ -148,16 +152,24 @@ def enumerated_clp_feasible(instance: Instance, target: Fraction) -> bool:
         if not mins:
             return False
         columns.extend((p, s) for s in mins)
-    width = len(columns)
     rows = []
-    for p in instance.players:
+    for pi, p in enumerate(instance.players):
         coeffs = [Fraction(1 if cp == p else 0) for cp, _ in columns]
+        coeffs += [Fraction(int(k == pi)) for k in range(instance.num_players)]
         rows.append((coeffs, ">=", Fraction(1)))
     for r in instance.resources:
         coeffs = [Fraction(1 if r in s else 0) for _, s in columns]
+        coeffs += [_ZERO] * instance.num_players
         rows.append((coeffs, "<=", Fraction(1)))
-    lp = LinearProgram.minimize([_ZERO] * width, rows)
-    return solve_lp(lp).status == OPTIMAL
+    objective = [_ZERO] * len(columns) + [Fraction(1)] * instance.num_players
+    lp = LinearProgram.minimize(objective, rows)
+    out = solve_lp(lp)
+    problems = verify_outcome(lp, out)
+    if problems:
+        raise VerificationFailed(
+            f"enumerated configuration LP failed verification: {problems[0]}"
+        )
+    return out.objective == 0
 
 
 def exact_T_star_enumerated(

@@ -1,10 +1,14 @@
 """Self-contained exact linear programming over rationals.
 
-Two-phase primal simplex on a dense tableau of Fractions with Bland's
-anti-cycling pivot rule, so every solve terminates and is deterministic.
-Optimal outcomes carry exact primal and dual solutions; `verify_outcome`
-re-checks them from scratch (feasibility, dual feasibility, equal objectives,
-complementary slackness) without trusting the solver.
+Two-phase primal simplex with Bland's anti-cycling pivot rule, so every solve
+terminates and is deterministic.  Each row and the objective are scaled to
+integers, and the tableau is kept fraction-free: Python ints over one common
+denominator, updated by integer-preserving (Bareiss) pivots whose divisions
+are all exact.  A crash basis of slack and unit columns means phase 1 only
+pivots on rows that have neither.  Optimal outcomes carry exact primal and
+dual solutions as Fractions; `verify_outcome` re-checks them from scratch
+with plain Fraction arithmetic (feasibility, dual feasibility, equal
+objectives, complementary slackness) without trusting the solver.
 
 Scale note: instances in this package have a handful of rows and at most a
 few thousand columns, where exact dense pivoting is entirely adequate.
@@ -14,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, VerificationFailed
 
 RELATIONS = ("<=", ">=", "=")
 
@@ -25,7 +30,10 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+def _fraction(value) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -40,17 +48,20 @@ class LinearProgram:
     def build(cls, sense, objective, rows) -> "LinearProgram":
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-        obj = tuple(Fraction(c) for c in objective)
+        # tuple() of a list allocates the exact size; of a generator it
+        # resizes, which leaves the freed tuples parked in the interpreter's
+        # per-size free lists until a full garbage collection.
+        obj = tuple([_fraction(c) for c in objective])
         packed = []
         for coeffs, rel, rhs in rows:
-            coeffs = tuple(Fraction(c) for c in coeffs)
+            coeffs = tuple([_fraction(c) for c in coeffs])
             if len(coeffs) != len(obj):
                 raise DimensionMismatch(
                     f"row width {len(coeffs)} != objective width {len(obj)}"
                 )
             if rel not in RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
-            packed.append((coeffs, rel, Fraction(rhs)))
+            packed.append((coeffs, rel, _fraction(rhs)))
         return cls(sense=sense, objective=obj, rows=tuple(packed))
 
     @classmethod
@@ -89,143 +100,148 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     maximize = lp.sense == "max"
     n = lp.num_vars
     m = len(lp.rows)
-    cost = [(-c if maximize else c) for c in lp.objective]
+    cost_scale, cost = _to_integers([(-c if maximize else c) for c in lp.objective])
 
     # Normalize to non-negative right-hand sides, recording flipped rows so
-    # the duals can be mapped back to the rows as stated.
+    # the duals can be mapped back to the rows as stated, then scale each row
+    # to integers, recording its scale for the same reason.
     flipped = [False] * m
-    norm_rows: list[tuple[list[Fraction], str, Fraction]] = []
+    scales = [1] * m
+    int_rows: list[tuple[list[int], str, int]] = []
     for i, (coeffs, rel, rhs) in enumerate(lp.rows):
         if len(coeffs) != n:
             raise DimensionMismatch(f"row {i} width {len(coeffs)} != {n}")
-        coeffs = list(coeffs)
         if rhs < 0:
             coeffs = [-c for c in coeffs]
             rhs = -rhs
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
             flipped[i] = True
-        norm_rows.append((coeffs, rel, rhs))
+        scales[i], values = _to_integers([*coeffs, rhs])
+        int_rows.append((values[:n], rel, values[n]))
 
-    # Standard form: one slack/surplus per inequality, one artificial per row
-    # (full identity start keeps the inverse basis readable under the
-    # artificial block for exact dual extraction).
-    n_slack = sum(1 for _, rel, _ in norm_rows if rel != "=")
+    # Standard form: one slack/surplus per inequality and one artificial
+    # column per row, the artificial block starting as the identity so that
+    # it reads d * B^{-1} throughout.  Crash basis: a row starts with its
+    # slack, or with a structural column equal to its unit vector, basic;
+    # only the remaining rows start with their artificial basic.
+    n_slack = sum(1 for _, rel, _ in int_rows if rel != "=")
     total = n + n_slack + m
     art_start = n + n_slack
+    nonzeros = [0] * n
+    for coeffs, _, _ in int_rows:
+        nonzeros = [k + (a != 0) for k, a in zip(nonzeros, coeffs)]
+    unit_columns: dict[int, int] = {}
+    for i, (coeffs, _, _) in enumerate(int_rows):
+        for j, a in enumerate(coeffs):
+            if a == 1 and nonzeros[j] == 1:
+                unit_columns[i] = j
+                break
 
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
+    basis: list[int] = []
     slack_pos = 0
-    for i, (coeffs, rel, rhs) in enumerate(norm_rows):
-        row = list(coeffs) + [_ZERO] * (n_slack + m) + [rhs]
+    for i, (coeffs, rel, rhs) in enumerate(int_rows):
+        row = coeffs + [0] * (n_slack + m) + [rhs]
+        row[art_start + i] = 1
+        start = unit_columns.get(i, art_start + i)
         if rel != "=":
-            row[n + slack_pos] = _ONE if rel == "<=" else -_ONE
+            row[n + slack_pos] = 1 if rel == "<=" else -1
+            if rel == "<=":
+                start = n + slack_pos
             slack_pos += 1
-        row[art_start + i] = _ONE
         tableau.append(row)
-    basis = [art_start + i for i in range(m)]
+        basis.append(start)
+    # Row m is the reduced-cost row; every row is d times its rational value.
+    tableau.append([0] * (total + 1))
+    d = 1
 
-    full_cost_phase2 = cost + [_ZERO] * (n_slack + m)
-
-    def reduced_costs(full_cost: list[Fraction]) -> list[Fraction]:
-        red = list(full_cost)
+    def reduced_row(full_cost: list[int]) -> list[int]:
+        red = [d * c for c in full_cost] + [0]
         for k, bi in enumerate(basis):
             cb = full_cost[bi]
             if cb:
-                row = tableau[k]
-                for j in range(total):
-                    if row[j]:
-                        red[j] -= cb * row[j]
+                red = [r - cb * a for r, a in zip(red, tableau[k])]
         return red
 
     def pivot(row_k: int, col_j: int) -> None:
+        # Integer-preserving (Bareiss) pivot: every division is exact.
+        nonlocal d
         prow = tableau[row_k]
-        inv = _ONE / prow[col_j]
-        for j in range(total + 1):
-            if prow[j]:
-                prow[j] *= inv
-        nonzero = [j for j in range(total + 1) if prow[j]]
-        for i in range(m):
+        p = prow[col_j]
+        for i, row in enumerate(tableau):
             if i == row_k:
                 continue
-            factor = tableau[i][col_j]
-            if factor:
-                row = tableau[i]
-                for j in nonzero:
-                    row[j] -= factor * prow[j]
-        factor = red[col_j]
-        if factor:
-            for j in nonzero:
-                red[j] -= factor * prow[j]
+            f = row[col_j]
+            if f:
+                tableau[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            elif p != d:
+                tableau[i] = [p * a // d for a in row]
+        d = p
+        if d < 0:
+            d = -d
+            for i, row in enumerate(tableau):
+                tableau[i] = [-a for a in row]
         basis[row_k] = col_j
 
-    def run_simplex(allowed_max: int) -> str:
+    def run_simplex() -> str:
         # Bland's rule: smallest-index entering column with negative reduced
         # cost; leaving row by min ratio, ties to the smallest basis index.
+        # Artificial columns never enter.
+        red = tableau[m]
         while True:
-            enter = -1
-            for j in range(allowed_max):
-                if red[j] < 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(art_start) if red[j] < 0), -1)
             if enter < 0:
                 return OPTIMAL
             leave = -1
-            best: Optional[Fraction] = None
+            best_num = best_den = 0
             for i in range(m):
                 a = tableau[i][enter]
                 if a > 0:
-                    ratio = tableau[i][total] / a
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]
+                    b = tableau[i][total]
+                    if leave < 0 or b * best_den < best_num * a or (
+                        b * best_den == best_num * a and basis[i] < basis[leave]
                     ):
-                        best = ratio
-                        leave = i
+                        leave, best_num, best_den = i, b, a
             if leave < 0:
                 return UNBOUNDED
             pivot(leave, enter)
+            red = tableau[m]
 
     # Phase 1: drive the artificial variables to zero.
-    phase1_cost = [_ZERO] * art_start + [_ONE] * m
-    red = reduced_costs(phase1_cost) + [_ZERO]
-    status = run_simplex(total)
-    assert status == OPTIMAL  # phase-1 objective is bounded below by 0
-    shortfall = sum(
-        (tableau[k][total] for k, bi in enumerate(basis) if bi >= art_start),
-        _ZERO,
-    )
-    if shortfall > 0:
-        return LpOutcome(status=INFEASIBLE)
+    if any(bi >= art_start for bi in basis):
+        tableau[m] = reduced_row([0] * art_start + [1] * m)
+        if run_simplex() != OPTIMAL:
+            raise VerificationFailed("phase 1 reported an unbounded objective")
+        if any(tableau[k][total] for k, bi in enumerate(basis) if bi >= art_start):
+            return LpOutcome(status=INFEASIBLE)
 
-    # Pivot leftover zero-level artificials out where a structural column
-    # allows it; rows with no such column are redundant and stay inert.
-    for k in range(m):
-        if basis[k] >= art_start:
-            for j in range(art_start):
-                if tableau[k][j]:
-                    pivot(k, j)
-                    break
+        # Pivot leftover zero-level artificials out where a structural
+        # column allows it; rows with no such column are redundant and stay
+        # inert.
+        for k in range(m):
+            if basis[k] >= art_start:
+                for j in range(art_start):
+                    if tableau[k][j]:
+                        pivot(k, j)
+                        break
 
-    # Phase 2 on the real objective, artificial columns barred from entering.
-    red = reduced_costs(full_cost_phase2) + [_ZERO]
-    status = run_simplex(art_start)
-    if status == UNBOUNDED:
+    # Phase 2 on the real objective, artificial columns costing 0.
+    tableau[m] = reduced_row(cost + [0] * (n_slack + m))
+    if run_simplex() == UNBOUNDED:
         return LpOutcome(status=UNBOUNDED)
 
     primal = [_ZERO] * n
     for k, bi in enumerate(basis):
         if bi < n:
-            primal[bi] = tableau[k][total]
-    objective = sum((c * x for c, x in zip(cost, primal)), _ZERO)
+            primal[bi] = Fraction(tableau[k][total], d)
+    red = tableau[m]
+    objective = Fraction(-red[total], d * cost_scale)
 
-    # Duals: c_B . B^{-1}, read under the artificial identity block, then
-    # mapped back through any row flips.
+    # Duals: c_B . B^{-1} is minus the reduced cost of the artificial
+    # columns; undo the row and cost scales, then any row flips.
     dual = []
     for i in range(m):
-        col = art_start + i
-        y = sum(
-            (full_cost_phase2[basis[k]] * tableau[k][col] for k in range(m)),
-            _ZERO,
-        )
+        y = Fraction(-red[art_start + i] * scales[i], d * cost_scale)
         dual.append(-y if flipped[i] else y)
 
     if maximize:
@@ -237,6 +253,12 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         dual=tuple(dual),
         objective=objective,
     )
+
+
+def _to_integers(values) -> tuple[int, list[int]]:
+    """(s, s * values) with s the least common multiple of the denominators."""
+    s = lcm(*{v.denominator for v in values})
+    return s, [v.numerator * (s // v.denominator) for v in values]
 
 
 def verify_outcome(lp: LinearProgram, outcome: LpOutcome) -> list[str]:

@@ -1,8 +1,11 @@
 """Shared instance builders for the test suite."""
 
+from fractions import Fraction
+
 import pytest
 
 from maxminfair import validate_instance
+from maxminfair.simplex import OPTIMAL, LpOutcome
 
 
 def make_instance(values, desires, players=None):
@@ -14,6 +17,16 @@ def make_instance(values, desires, players=None):
             "resources": [{"id": r, "value": v} for r, v in values.items()],
             "desires": {p: list(rs) for p, rs in desires.items()},
         }
+    )
+
+
+def zero_outcome(lp):
+    """A corrupted solver answer: 'optimal' at the all-zero point."""
+    return LpOutcome(
+        status=OPTIMAL,
+        primal=(Fraction(0),) * lp.num_vars,
+        dual=(Fraction(0),) * len(lp.rows),
+        objective=Fraction(0),
     )
 
 

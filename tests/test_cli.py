@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from maxminfair import cli, format_rational, validate_instance
+from maxminfair import cli, configlp, format_rational, validate_instance
 from maxminfair.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -21,7 +21,7 @@ from maxminfair.cli import (
     solve,
 )
 
-from conftest import make_instance
+from conftest import make_instance, zero_outcome
 
 F = Fraction
 
@@ -138,6 +138,14 @@ class TestSolve:
         )
         assert code == EXIT_OK
         assert report["outcome"] == "Allocated"
+
+    def test_failed_verification_is_internal_error(
+        self, monkeypatch, capsys, tmp_path, two_fat
+    ):
+        monkeypatch.setattr(configlp, "solve_lp", zero_outcome)
+        code = main(["solve", "--instance", write_instance(tmp_path, two_fat)])
+        assert code == EXIT_FAIL
+        assert capsys.readouterr().err.startswith("internal error:")
 
     def test_wrong_shape_instance(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,15 +12,24 @@ from hypothesis import given, settings, strategies as st
 from maxminfair import (
     clp_feasible,
     compute_T_star,
+    configlp,
     generate_instance,
     min_cost_configuration,
+    oracle,
     subset_sum_breakpoints,
 )
 from maxminfair.configlp import FEASIBLE, INFEASIBLE
-from maxminfair.errors import BudgetExceeded, InvalidTarget, NegativePrice
+from maxminfair.errors import (
+    BudgetExceeded,
+    InvalidTarget,
+    NegativePrice,
+    VerificationFailed,
+)
+from maxminfair.generators import KINDS
+from maxminfair.simplex import verify_outcome
 from maxminfair.oracle import enumerated_clp_feasible, exact_T_star_enumerated
 
-from conftest import make_instance
+from conftest import make_instance, zero_outcome
 
 F = Fraction
 
@@ -216,3 +230,71 @@ class TestProperties:
                 assert clp_feasible(inst, t).feasible == enumerated_clp_feasible(
                     inst, t
                 )
+
+
+class TestVerificationGates:
+    def test_every_master_lp_verifies(self, monkeypatch):
+        solved = []
+        original = configlp.solve_lp
+
+        def recording(lp):
+            out = original(lp)
+            solved.append((lp, out))
+            return out
+
+        monkeypatch.setattr(configlp, "solve_lp", recording)
+        for kind in KINDS:
+            for seed in range(10):
+                compute_T_star(generate_instance(kind, 3, 6, seed))
+        assert solved
+        for lp, out in solved:
+            assert verify_outcome(lp, out) == []
+
+    def test_corrupted_master_raises(self, monkeypatch, two_fat):
+        monkeypatch.setattr(configlp, "solve_lp", zero_outcome)
+        with pytest.raises(VerificationFailed):
+            clp_feasible(two_fat, F(1))
+
+    def test_corrupted_oracle_lp_raises(self, monkeypatch, two_fat):
+        monkeypatch.setattr(oracle, "solve_lp", zero_outcome)
+        with pytest.raises(VerificationFailed):
+            enumerated_clp_feasible(two_fat, F(1))
+
+    def test_master_gate_survives_python_optimize(self):
+        script = textwrap.dedent(
+            """
+            from fractions import Fraction
+            from maxminfair import configlp, validate_instance
+            from maxminfair.errors import VerificationFailed
+            from maxminfair.simplex import OPTIMAL, LpOutcome
+
+            assert not __debug__, "expected python -O"
+            configlp.solve_lp = lambda lp: LpOutcome(
+                status=OPTIMAL,
+                primal=(Fraction(0),) * lp.num_vars,
+                dual=(Fraction(0),) * len(lp.rows),
+                objective=Fraction(0),
+            )
+            inst = validate_instance({
+                "players": ["p1", "p2"],
+                "resources": [{"id": "a", "value": "1"}, {"id": "b", "value": "1"}],
+                "desires": {"p1": ["a", "b"], "p2": ["a", "b"]},
+            })
+            try:
+                configlp.clp_feasible(inst, Fraction(1))
+            except VerificationFailed:
+                print("VerificationFailed")
+            else:
+                print("accepted")
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "VerificationFailed"

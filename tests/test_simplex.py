@@ -194,3 +194,72 @@ def test_optimal_outcomes_verify_and_repeat(lp):
     assert solve_lp(lp) == out
     if out.status == OPTIMAL:
         assert verify_outcome(lp, out) == []
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free engine: row and cost scaling, crash basis, phase 1.
+# ---------------------------------------------------------------------------
+
+rational_entries = st.builds(
+    F, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=4)
+)
+
+
+@st.composite
+def small_rational_lps(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    sense = draw(st.sampled_from(["min", "max"]))
+    objective = [draw(rational_entries) for _ in range(n)]
+    rows = []
+    for _ in range(m):
+        coeffs = [draw(rational_entries) for _ in range(n)]
+        rel = draw(st.sampled_from(["<=", ">=", "="]))
+        rows.append((coeffs, rel, draw(rational_entries)))
+    return LinearProgram.build(sense, objective, rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_rational_lps())
+def test_rational_lps_agree_with_vertex_enumeration(lp):
+    expected_status, expected_obj = brute_force_lp(lp)
+    out = solve_lp(lp)
+    assert out.status == expected_status
+    if expected_status == OPTIMAL:
+        assert out.objective == expected_obj
+        assert verify_outcome(lp, out) == []
+
+
+def test_crash_on_scaled_structural_unit_column():
+    # x0 is the unit column of row 0 once that row is scaled by 2, and x1 is
+    # the unit column of row 1, so both ">=" rows start with a basic
+    # structural column and phase 1 has nothing to do.
+    lp = LinearProgram.minimize(
+        [2, 2, 3],
+        [
+            ([F(1, 2), F(0), F(1, 2)], ">=", F(1)),
+            ([F(0), F(1), F(1)], ">=", F(3)),
+        ],
+    )
+    out = solve_lp(lp)
+    assert out.status == OPTIMAL
+    assert out.primal == (F(0), F(1), F(2))
+    assert out.objective == 8
+    assert out.dual == (F(2), F(2))
+    assert verify_outcome(lp, out) == []
+
+
+def test_equality_rows_without_unit_columns_need_full_phase_one():
+    lp = LinearProgram.minimize(
+        [1, 2, 1],
+        [
+            ([F(1), F(1), F(2)], "=", F(4)),
+            ([F(1), F(-1), F(1)], "=", F(1)),
+        ],
+    )
+    out = solve_lp(lp)
+    assert out.status == OPTIMAL
+    assert out.primal == (F(0), F(2, 3), F(5, 3))
+    assert out.objective == 3
+    assert out.dual == (F(1), F(-1))
+    assert verify_outcome(lp, out) == []
