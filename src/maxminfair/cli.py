@@ -9,6 +9,7 @@ infeasible, 3 input error, 4 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -334,9 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser `main` reuses: a parser is a web of reference cycles,
+    so building one per call leaves garbage for the cyclic collector."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

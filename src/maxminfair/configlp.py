@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -140,11 +142,16 @@ def min_cost_configuration(
 ) -> Optional[tuple[Fraction, frozenset[str]]]:
     """Cheapest configuration for `player` at prices, or None if none exists.
 
-    Exact branch and bound: candidates sorted by descending value, pruned by
-    the remaining achievable value and by the incumbent cost.  Zero-value
-    resources never enter a bundle (they add cost but no value); among the
-    rest, ties in cost resolve to the smallest bundle, then to the
-    lexicographically smallest one in resource input order.
+    Returns the argmin of (cost, bundle size, sorted resource indices) over
+    the bundles of positive-value desired resources worth at least `target`;
+    zero-value resources never enter a bundle, and a missing price is 0.
+
+    Exact branch and bound over integers: the candidate values and the
+    target are scaled by the LCM of their denominators, the costs by the LCM
+    of their own, so every addition and comparison is on Python `int`s and
+    the cost becomes a `Fraction` only on return.  Candidates are sorted by
+    descending value and pruned by the remaining achievable value and by the
+    incumbent cost.
     """
     target = Fraction(target)
     for r, price in prices.items():
@@ -154,49 +161,63 @@ def min_cost_configuration(
     if target <= 0:
         return (_ZERO, frozenset())
 
+    index_of = instance.resource_index
     candidates = [r for r in desired if instance.value[r] > 0]
-    candidates.sort(key=lambda r: (-instance.value[r], instance.resource_index(r)))
-    values = [instance.value[r] for r in candidates]
-    costs = [Fraction(prices.get(r, _ZERO)) for r in candidates]
-    suffix = [_ZERO] * (len(candidates) + 1)
-    for i in range(len(candidates) - 1, -1, -1):
+    candidates.sort(key=lambda r: (-instance.value[r], index_of(r)))
+    exact_values = [instance.value[r] for r in candidates]
+    exact_costs = [Fraction(prices.get(r, 0)) for r in candidates]
+    value_scale = reduce(lcm, (v.denominator for v in exact_values), target.denominator)
+    cost_scale = reduce(lcm, (c.denominator for c in exact_costs), 1)
+    values = [v.numerator * (value_scale // v.denominator) for v in exact_values]
+    costs = [c.numerator * (cost_scale // c.denominator) for c in exact_costs]
+    goal = target.numerator * (value_scale // target.denominator)
+    positions = [index_of(r) for r in candidates]
+    n = len(candidates)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + values[i]
-    if suffix[0] < target:
+    if suffix[0] < goal:
         return None
 
-    best_cost: Optional[Fraction] = None
-    best_key: Optional[tuple] = None
-    best_bundle: Optional[tuple[str, ...]] = None
-    index_of = instance.resource_index
+    def tie_key(chosen: int) -> tuple:
+        members = [positions[j] for j in range(n) if chosen >> j & 1]
+        return (len(members), sorted(members))
 
-    def lex_key(chosen: list[str]) -> tuple:
-        indices = tuple(sorted(index_of(r) for r in chosen))
-        return (len(indices), indices)
-
-    stack: list[tuple[int, Fraction, Fraction, list[str]]] = [
-        (0, _ZERO, _ZERO, [])
-    ]
+    # No bundle costs more than every candidate together, so this bound
+    # prunes nothing until the first covering bundle is found.
+    best_cost = sum(costs) + 1
+    best: Optional[int] = None
+    # Nodes are (next candidate, value, cost, bitmask of chosen candidates).
+    # An int, not a tuple of positions: tuples of every length would fill the
+    # interpreter's per-length free lists, which only a full collection frees.
+    stack: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)]
     while stack:
         i, val, cost, chosen = stack.pop()
-        if best_cost is not None and cost > best_cost:
+        if cost > best_cost:
             continue
-        if val >= target:
+        if val >= goal:
             # Any extension only adds cost and lengthens the bundle, so this
             # node is the best completion of `chosen`.
-            key = lex_key(chosen)
-            if best_cost is None or cost < best_cost or (
-                cost == best_cost and key < best_key
-            ):
-                best_cost, best_key, best_bundle = cost, key, tuple(chosen)
+            if cost < best_cost or tie_key(chosen) < tie_key(best):
+                best_cost, best = cost, chosen
             continue
-        if i == len(candidates) or val + suffix[i] < target:
-            continue
-        # Explore inclusion first (stack order: exclusion pushed first).
-        stack.append((i + 1, val, cost, chosen))
-        stack.append((i + 1, val + values[i], cost + costs[i], chosen + [candidates[i]]))
+        # Every node on the stack can still reach the goal (val + suffix[i]
+        # >= goal), so it is not a leaf.  Explore inclusion first (stack
+        # order: exclusion pushed first).
+        if val + suffix[i + 1] >= goal:
+            stack.append((i + 1, val, cost, chosen))
+        if cost + costs[i] <= best_cost:
+            stack.append((i + 1, val + values[i], cost + costs[i], chosen | 1 << i))
 
-    assert best_bundle is not None  # suffix bound guaranteed reachability
-    return (best_cost, frozenset(best_bundle))
+    if best is None:
+        raise VerificationFailed(
+            f"pricing found no configuration for {player!r} although the "
+            f"desired value reaches {target}"
+        )
+    return (
+        Fraction(best_cost, cost_scale),
+        frozenset(candidates[j] for j in range(n) if best >> j & 1),
+    )
 
 
 def _master_lp(
@@ -255,11 +276,16 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
                 continue
             cost, bundle = priced
             if cost < y[p]:
+                # A pooled column has non-negative reduced cost at the master
+                # optimum; re-adding one would loop column generation forever.
+                if (p, bundle) in pooled:
+                    raise VerificationFailed(
+                        f"pooled column {instance.sorted_resources(bundle)} of {p!r} "
+                        f"priced {cost} < {y[p]} again"
+                    )
                 col = ConfigColumn(
                     player=p, bundle=bundle, value=bundle_value(instance, p, bundle)
                 )
-                key = (p, bundle)
-                assert key not in pooled  # pooled columns price non-negatively
                 improving.append(col)
         if not improving:
             return _final_verdict(

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import importlib.util
 import json
@@ -363,3 +364,21 @@ def test_module_entry_point(tmp_path, two_fat):
     )
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["outcome"] == "Allocated"
+
+
+def test_main_reuses_one_parser(capsys, tmp_path, two_fat):
+    """Repeated `main` calls leave no argparse objects for the cyclic collector."""
+    argv = ["solve", "--instance", write_instance(tmp_path, two_fat)]
+    assert main(argv) == EXIT_OK  # warm-up: builds the parser once
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == EXIT_OK
+        gc.collect()
+        leaked = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert leaked == []
+    assert cli.build_parser() is not cli.build_parser()

@@ -10,11 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxminfair import (
+    bundle_value,
     clp_feasible,
     compute_T_star,
     configlp,
+    construct_dual_certificate,
+    find_perfect_matching,
     generate_instance,
     min_cost_configuration,
+    normalize,
     oracle,
     subset_sum_breakpoints,
 )
@@ -90,24 +94,65 @@ class TestMinCostConfiguration:
         cost, bundle = min_cost_configuration(inst, "p", {}, F(1))
         assert cost == 0 and bundle == frozenset({"a"})
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_agrees_with_enumeration(self, data):
-        n = data.draw(st.integers(1, 6))
+        # Denominators up to 1000 make the scaling LCMs large; a palette of
+        # (value, price) pairs makes equal-cost bundles and exercises the
+        # tie rule; zero values, a missing price, a price on a resource the
+        # player does not desire and an int target are all drawn.
+        fractions = st.one_of(
+            st.just(F(0)),
+            st.fractions(min_value=0, max_value=2, max_denominator=1000),
+        )
+        n = data.draw(st.integers(1, 9))
         resources = [f"r{j}" for j in range(n)]
-        values = {
-            r: data.draw(st.fractions(min_value=0, max_value=2, max_denominator=20))
-            for r in resources
-        }
-        inst = make_instance(values, {"p": resources})
+        if data.draw(st.booleans()):
+            palette = data.draw(
+                st.lists(st.tuples(fractions, fractions), min_size=1, max_size=3)
+            )
+            pairs = [data.draw(st.sampled_from(palette)) for _ in resources]
+        else:
+            pairs = [(data.draw(fractions), data.draw(fractions)) for _ in resources]
+        values = {r: v for r, (v, _) in zip(resources, pairs)}
+        values["x"] = data.draw(fractions)
+        inst = make_instance(values, {"p": resources, "q": ["x"]})
         prices = {
-            r: data.draw(st.fractions(min_value=0, max_value=1, max_denominator=20))
-            for r in resources
+            r: c
+            for r, (_, c) in zip(resources, pairs)
+            if not data.draw(st.booleans(), label=f"omit price of {r}")
         }
-        target = data.draw(st.fractions(min_value=0, max_value=3, max_denominator=20))
+        prices["x"] = data.draw(fractions)
+        target = data.draw(
+            st.one_of(
+                st.integers(0, 3),
+                st.fractions(min_value=0, max_value=4, max_denominator=1000),
+            )
+        )
         assert min_cost_configuration(inst, "p", prices, target) == enumerate_min_cost(
             inst, "p", prices, target
         )
+
+    def test_agrees_with_enumeration_at_certificate_prices(self):
+        # Every player's pricing at a stuck state's certificate, on 6x14
+        # instances at four times the ceiling, where the search always halts.
+        checked = 0
+        for kind in KINDS:
+            for seed in range(10):
+                inst = generate_instance(kind, 6, 14, seed)
+                ceiling = min(
+                    bundle_value(inst, p, inst.desired_by(p)) for p in inst.players
+                )
+                ni = normalize(inst, 4 * ceiling)
+                out = find_perfect_matching(ni)
+                assert not out.perfect
+                cert = construct_dual_certificate(ni, out.state)
+                for p in inst.players:
+                    assert min_cost_configuration(
+                        ni.base, p, cert.z, F(1)
+                    ) == enumerate_min_cost(ni.base, p, cert.z, F(1))
+                    checked += 1
+        assert checked == 180
 
 
 class TestClpFeasible:
@@ -260,41 +305,71 @@ class TestVerificationGates:
         with pytest.raises(VerificationFailed):
             enumerated_clp_feasible(two_fat, F(1))
 
-    def test_master_gate_survives_python_optimize(self):
-        script = textwrap.dedent(
-            """
-            from fractions import Fraction
-            from maxminfair import configlp, validate_instance
-            from maxminfair.errors import VerificationFailed
-            from maxminfair.simplex import OPTIMAL, LpOutcome
+    def test_repriced_pooled_column_raises(self, monkeypatch, two_fat):
+        # Pricing that offers an already pooled bundle below y[p] again would
+        # make column generation loop forever.
+        monkeypatch.setattr(
+            configlp,
+            "min_cost_configuration",
+            lambda instance, player, prices, target: (F(-1), frozenset({"a", "b"})),
+        )
+        with pytest.raises(VerificationFailed, match="pooled column"):
+            clp_feasible(two_fat, F(1))
 
-            assert not __debug__, "expected python -O"
+    def test_master_gate_survives_python_optimize(self):
+        script = """
             configlp.solve_lp = lambda lp: LpOutcome(
                 status=OPTIMAL,
                 primal=(Fraction(0),) * lp.num_vars,
                 dual=(Fraction(0),) * len(lp.rows),
                 objective=Fraction(0),
             )
-            inst = validate_instance({
-                "players": ["p1", "p2"],
-                "resources": [{"id": "a", "value": "1"}, {"id": "b", "value": "1"}],
-                "desires": {"p1": ["a", "b"], "p2": ["a", "b"]},
-            })
-            try:
-                configlp.clp_feasible(inst, Fraction(1))
-            except VerificationFailed:
-                print("VerificationFailed")
-            else:
-                print("accepted")
             """
-        )
-        src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "VerificationFailed"
+        assert _clp_under_python_optimize(script) == "VerificationFailed"
+
+    def test_pooled_column_gate_survives_python_optimize(self):
+        script = """
+            configlp.min_cost_configuration = (
+                lambda instance, player, prices, target:
+                    (Fraction(-1), frozenset({"a", "b"}))
+            )
+            """
+        assert _clp_under_python_optimize(script) == "VerificationFailed"
+
+
+def _clp_under_python_optimize(patch: str) -> str:
+    """Run `patch`, then clp_feasible on two_fat at 1, in a `python -O` child."""
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from maxminfair import configlp, validate_instance
+        from maxminfair.errors import VerificationFailed
+        from maxminfair.simplex import OPTIMAL, LpOutcome
+
+        assert not __debug__, "expected python -O"
+        """
+    ) + textwrap.dedent(patch) + textwrap.dedent(
+        """
+        inst = validate_instance({
+            "players": ["p1", "p2"],
+            "resources": [{"id": "a", "value": "1"}, {"id": "b", "value": "1"}],
+            "desires": {"p1": ["a", "b"], "p2": ["a", "b"]},
+        })
+        try:
+            configlp.clp_feasible(inst, Fraction(1))
+        except VerificationFailed:
+            print("VerificationFailed")
+        else:
+            print("accepted")
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
