@@ -32,7 +32,6 @@ from .matching import (
     Edge,
     Matching,
     SearchState,
-    Signature,
     build_step,
     complete_allocation,
     contract_step,
@@ -83,7 +82,6 @@ __all__ = [
     "Edge",
     "Matching",
     "SearchState",
-    "Signature",
     "build_step",
     "complete_allocation",
     "contract_step",

@@ -7,11 +7,12 @@ infeasible at target 1: every active player is priced at 1 - 4/3 * (6/23) =
 min(value, 5/23).  The certificate is feasible for the configuration dual and
 has positive objective, so scaling it up makes the dual unbounded.
 
-Construction is never trusted: `verify_certificate_feasibility` re-derives
-feasibility with the exact pricing search (covering every case of the
-underlying analysis at once), and `check_blocker_balances` re-plays the
-per-blocker accounting that makes the objective positive, which localizes any
-failure to a single blocker.
+Construction is never trusted, and each claim is checked once:
+`construct_dual_certificate` refuses a state that is not stuck;
+`verify_certificate_feasibility` re-derives dual feasibility with the exact
+pricing search (covering every case of the underlying analysis at once); and
+`check_blocker_balances` re-plays the per-blocker accounting that makes the
+objective positive, which localizes any failure to a single blocker.
 """
 
 from __future__ import annotations
@@ -157,7 +158,6 @@ def check_blocker_balances(
     price plus the per-blocker balances; non-negative balances make it at
     least 15/23.
     """
-    assert_stuck(ni, state)
     active_price = _ONE - Fraction(4, 3) * ni.threshold
     failures = []
     balances = []

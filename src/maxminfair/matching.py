@@ -9,6 +9,12 @@ freeing an earlier blocking edge and truncating the sequence); otherwise a new
 addable edge is built on top.  The signature of the blocker sequence strictly
 decreases lexicographically at every step, so each extension terminates.
 
+Each claim the search relies on is checked once, where it is relied on, and
+a failure raises `VerificationFailed`, which `python -O` does not strip:
+`extend_matching` checks the descent after every step, `build_step` that
+every blocking edge activates a new player, and `contract_step` that the
+contracted candidate's player has exactly one activator, placed before it.
+
 A search that halts with no addable edge and no removable blocker is returned
 as a first-class Stuck outcome: it happens exactly when the target exceeds
 the configuration-LP optimum, and the stuck state is the raw material for an
@@ -27,6 +33,7 @@ from .errors import (
     NoRemovableBlocker,
     NotAddable,
     PlayerAlreadyMatched,
+    VerificationFailed,
 )
 from .instances import GUARANTEE_FRACTION, Instance, NormalizedInstance, bundle_value
 
@@ -115,19 +122,6 @@ class Blocker:
     @property
     def removable(self) -> bool:
         return not self.blocking
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Blocking-set sizes followed by an infinite sentinel; ordered lexicographically."""
-
-    entries: tuple
-
-    def __lt__(self, other: "Signature") -> bool:
-        return self.entries < other.entries
-
-    def __le__(self, other: "Signature") -> bool:
-        return self.entries <= other.entries
 
 
 class SearchState:
@@ -312,7 +306,10 @@ def build_step(state: SearchState, edge: Edge) -> SearchState:
     state.covered |= edge.bundle
     for e in blocking:
         state.covered |= e.bundle
-        assert not state.is_active(e.player)  # blocking edges never repeat players
+        if state.is_active(e.player):
+            raise VerificationFailed(
+                f"blocking edge of {e.player!r}, who is already active"
+            )
         state.active_order.append(e.player)
     return state
 
@@ -339,9 +336,15 @@ def contract_step(state: SearchState) -> Optional[Matching]:
         for e in b.blocking
         if e.player == q
     ]
-    assert len(activators) == 1  # an active player has exactly one activator
+    if len(activators) != 1:
+        raise VerificationFailed(
+            f"active player {q!r} has {len(activators)} activators, not one"
+        )
     j, freed = activators[0]
-    assert j < k
+    if j >= k:
+        raise VerificationFailed(
+            f"blocker {k} is contracted before its activator {j}"
+        )
     state.matching = state.matching.replace(freed, candidate)
     kept = tuple(e for e in state.blockers[j].blocking if e is not freed)
     state.blockers[j] = Blocker(candidate=state.blockers[j].candidate, blocking=kept)
@@ -351,10 +354,9 @@ def contract_step(state: SearchState) -> Optional[Matching]:
     return None
 
 
-def signature(state: SearchState) -> Signature:
-    return Signature(
-        entries=tuple(len(b.blocking) for b in state.blockers) + (INFINITY,)
-    )
+def signature(state: SearchState) -> tuple:
+    """Blocking-set sizes, then an infinite sentinel; tuples order lexicographically."""
+    return tuple(len(b.blocking) for b in state.blockers) + (INFINITY,)
 
 
 @dataclass(frozen=True)
@@ -366,7 +368,7 @@ class TraceEvent:
     player: Optional[str]
     bundle: tuple[str, ...]
     blocker_index: Optional[int]
-    signature: Signature
+    signature: tuple
 
     def to_json_dict(self) -> dict:
         return {
@@ -375,9 +377,7 @@ class TraceEvent:
             "player": self.player,
             "bundle": list(self.bundle),
             "blocker_index": self.blocker_index,
-            "signature": [
-                "inf" if e == INFINITY else e for e in self.signature.entries
-            ],
+            "signature": ["inf" if e == INFINITY else e for e in self.signature],
         }
 
 
@@ -401,10 +401,10 @@ class ExtendOutcome:
         return sum(1 for ev in self.trace if ev.kind in ("contract", "terminate"))
 
     @property
-    def signatures(self) -> tuple[Signature, ...]:
+    def signatures(self) -> tuple[tuple, ...]:
         """Signature sequence of the run: initial state, then every state
         change (terminal events do not alter the blocker sequence)."""
-        seq = [Signature((INFINITY,))]
+        seq = [(INFINITY,)]
         for ev in self.trace:
             if ev.kind in ("build", "contract"):
                 seq.append(ev.signature)
@@ -472,9 +472,14 @@ def extend_matching(
             emit("build", edge.player, edge.bundle, len(state.blockers) - 1)
         if on_step is not None:
             on_step(state)
-        # Progress guard: every step strictly drops the signature.
-        sig = signature(state)
-        assert sig < last_sig
+        # Progress guard: every step strictly drops the signature, so the
+        # run halts.
+        sig = trace[-1].signature
+        if not sig < last_sig:
+            raise VerificationFailed(
+                f"signature did not decrease at step {len(trace) - 1}: "
+                f"{last_sig} -> {sig}"
+            )
         last_sig = sig
 
 

@@ -20,7 +20,6 @@ from .instances import Instance, NormalizedInstance, bundle_value
 from .matching import (
     INFINITY,
     SearchState,
-    Signature,
     edge_in_hypergraph,
     is_minimal_thin_edge,
 )
@@ -305,12 +304,11 @@ def check_state_invariants(
 
 
 def monitor_signatures(
-    signatures: Sequence[Signature], num_players: int
+    signatures: Sequence[tuple], num_players: int
 ) -> AuditReport:
     """Check a run's signatures: strict lexicographic descent, bounded mass."""
     violations: list[Violation] = []
-    for idx, sig in enumerate(signatures):
-        entries = sig.entries
+    for idx, entries in enumerate(signatures):
         if not entries or entries[-1] != INFINITY:
             violations.append(
                 Violation("signature-shape", f"signature {idx} lacks the sentinel", (idx,))
@@ -336,7 +334,7 @@ def monitor_signatures(
                 Violation(
                     "strict-descent",
                     f"signature {idx} does not decrease: "
-                    f"{signatures[idx - 1].entries} -> {signatures[idx].entries}",
+                    f"{signatures[idx - 1]} -> {signatures[idx]}",
                     (idx - 1, idx),
                 )
             )

@@ -95,8 +95,6 @@ class LpOutcome:
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Exact optimum with primal and dual solutions, or Infeasible/Unbounded."""
-    if not isinstance(lp, LinearProgram):
-        lp = LinearProgram.build(*lp)
     maximize = lp.sense == "max"
     n = lp.num_vars
     m = len(lp.rows)

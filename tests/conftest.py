@@ -1,6 +1,10 @@
 """Shared instance builders for the test suite."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,19 @@ def make_instance(values, desires, players=None):
             "resources": [{"id": r, "value": v} for r, v in values.items()],
             "desires": {p: list(rs) for p, rs in desires.items()},
         }
+    )
+
+
+def run_python_optimize(*args):
+    """Run `python -O *args` from the repository root on this checkout's package."""
+    root = Path(__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-O", *args],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        timeout=600,
     )
 
 

@@ -307,7 +307,7 @@ def test_criterion_8_worked_micro_traces(two_fat, thin_chain, shared_single):
     )
     expect(
         "fat-extension signatures",
-        [s.entries for s in out.signatures],
+        list(out.signatures),
         [(INFINITY,), (1, INFINITY), (1, 0, INFINITY)],
     )
 
@@ -334,7 +334,7 @@ def test_criterion_8_worked_micro_traces(two_fat, thin_chain, shared_single):
     )
     expect(
         "thin-chain signatures",
-        [s.entries for s in out.signatures],
+        list(out.signatures),
         [(INFINITY,), (1, INFINITY), (1, 0, INFINITY), (0, INFINITY)],
     )
 

@@ -1,10 +1,6 @@
-import os
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
 from itertools import chain, combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +29,7 @@ from maxminfair.generators import KINDS
 from maxminfair.simplex import verify_outcome
 from maxminfair.oracle import enumerated_clp_feasible, exact_T_star_enumerated
 
-from conftest import make_instance, zero_outcome
+from conftest import make_instance, run_python_optimize, zero_outcome
 
 F = Fraction
 
@@ -363,13 +359,6 @@ def _clp_under_python_optimize(patch: str) -> str:
             print("accepted")
         """
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        timeout=120,
-    )
+    proc = run_python_optimize("-c", script)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()

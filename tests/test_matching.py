@@ -1,14 +1,15 @@
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 from maxminfair import (
     GUARANTEE_FRACTION,
+    Blocker,
     Edge,
     Matching,
     SearchState,
-    Signature,
     build_step,
     complete_allocation,
     compute_T_star,
@@ -30,11 +31,12 @@ from maxminfair.errors import (
     NoRemovableBlocker,
     NotAddable,
     PlayerAlreadyMatched,
+    VerificationFailed,
 )
 from maxminfair.matching import FAT, INFINITY, THIN
 from maxminfair.oracle import check_state_invariants
 
-from conftest import make_instance
+from conftest import make_instance, run_python_optimize
 
 F = Fraction
 
@@ -179,12 +181,26 @@ class TestContractStep:
         assert state.active_order == ["p2"]
         assert state.covered == {"t1", "t2"}
 
+    def test_two_activators_raise(self, two_fat):
+        # Hand-built: p2's edge blocks two blockers, so contracting p2's
+        # candidate has no unique edge to free.
+        ni = normalize(two_fat, F(1))
+        held = fat_edge("p2", "a")
+        state = SearchState(ni, Matching.of([held]), "p1")
+        state.blockers = [
+            Blocker(candidate=fat_edge("p1", "a"), blocking=(held,)),
+            Blocker(candidate=fat_edge("p1", "b"), blocking=(held,)),
+            Blocker(candidate=fat_edge("p2", "b"), blocking=()),
+        ]
+        with pytest.raises(VerificationFailed, match="2 activators"):
+            contract_step(state)
+
 
 class TestSignature:
     def test_empty(self, two_fat):
         ni = normalize(two_fat, F(1))
         state = SearchState(ni, Matching.empty(), "p1")
-        assert signature(state).entries == (INFINITY,)
+        assert signature(state) == (INFINITY,)
 
     def test_build_decreases(self, shared_single):
         ni = normalize(shared_single, F(1))
@@ -192,12 +208,39 @@ class TestSignature:
         before = signature(state)
         build_step(state, fat_edge("p2", "r"))
         after = signature(state)
-        assert after.entries == (1, INFINITY)
+        assert after == (1, INFINITY)
         assert after < before
 
     def test_decrement_decreases(self):
-        assert Signature((0, INFINITY)) < Signature((1, INFINITY))
-        assert Signature((1, INFINITY)) < Signature((INFINITY,))
+        assert (0, INFINITY) < (1, INFINITY)
+        assert (1, INFINITY) < (INFINITY,)
+
+    def test_progress_guard_survives_python_optimize(self):
+        # A signature that never drops must stop the search, not loop it.
+        script = textwrap.dedent(
+            """
+            from maxminfair import find_perfect_matching, matching, normalize
+            from maxminfair import validate_instance
+            from maxminfair.errors import VerificationFailed
+
+            assert not __debug__, "expected python -O"
+            matching.signature = lambda state: (matching.INFINITY,)
+            inst = validate_instance({
+                "players": ["p1", "p2"],
+                "resources": [{"id": "a", "value": "1"}, {"id": "b", "value": "1"}],
+                "desires": {"p1": ["a", "b"], "p2": ["a", "b"]},
+            })
+            try:
+                find_perfect_matching(normalize(inst, 1))
+            except VerificationFailed:
+                print("VerificationFailed")
+            else:
+                print("accepted")
+            """
+        )
+        proc = run_python_optimize("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "VerificationFailed"
 
 
 class TestExtendMatching:

@@ -7,7 +7,6 @@ from maxminfair import (
     Edge,
     Matching,
     SearchState,
-    Signature,
     brute_force_opt,
     build_step,
     compute_T_star,
@@ -154,7 +153,7 @@ class TestCheckStateInvariants:
 
 
 def sig(*entries):
-    return Signature(tuple(entries) + (INFINITY,))
+    return tuple(entries) + (INFINITY,)
 
 
 class TestMonitorSignatures:
@@ -173,7 +172,7 @@ class TestMonitorSignatures:
         assert {v.invariant for v in report.violations} == {"blocking-mass"}
 
     def test_missing_sentinel_fails(self):
-        report = monitor_signatures([Signature((1, 2))], num_players=5)
+        report = monitor_signatures([(1, 2)], num_players=5)
         assert not report.passed
 
 
