@@ -35,10 +35,8 @@ instance = validate_instance(
     }
 )
 
-t_star, probes = compute_T_star(instance)
+t_star = compute_T_star(instance)
 print(f"optimal LP target T* = {t_star}")
-for probe in probes:
-    print(f"  {probe.line()}")
 
 ni = normalize(instance, t_star)
 print(f"\nguarantee per player: (6/23) * T* = {GUARANTEE_FRACTION * t_star}")

@@ -17,7 +17,7 @@ print(f"{'seed':>4} {'T*':>8} {'OPT':>8} {'gap':>8} {'achieved':>10} {'ratio':>8
 worst_gap = Fraction(0)
 for seed in range(12):
     instance = generate_instance("uniform", 4, 7, seed)
-    t_star, _ = compute_T_star(instance)
+    t_star = compute_T_star(instance)
     opt = brute_force_opt(instance)
     if opt == 0:
         print(f"{seed:>4} {str(t_star):>8} {str(opt):>8} {'degen':>8}")

@@ -22,10 +22,11 @@ from .certificates import (
     construct_dual_certificate,
     verify_certificate_feasibility,
 )
-from .configlp import DEFAULT_BREAKPOINT_BUDGET, compute_T_star
+from .configlp import DEFAULT_BREAKPOINT_BUDGET, bracket_T_star, compute_T_star
 from .errors import (
     BudgetExceeded,
     InvalidInstance,
+    InvalidTarget,
     MaxMinFairError,
     VerificationFailed,
 )
@@ -122,10 +123,10 @@ def _load_instance(path: str) -> Instance:
 def _resolve_t_star(instance: Instance, delta: Fraction, budget: int):
     """Exact optimal target when the breakpoint budget allows, else a bracket."""
     try:
-        t_star, _ = compute_T_star(instance, "exact", budget=budget)
+        t_star = compute_T_star(instance, budget=budget)
         return t_star, {"mode": "exact", "value": format_rational(t_star)}
     except BudgetExceeded:
-        lo, _ = compute_T_star(instance, "bisect", delta=delta)
+        lo = bracket_T_star(instance, delta)
         return lo, {
             "mode": "bracket",
             "feasible": format_rational(lo),
@@ -136,9 +137,17 @@ def _resolve_t_star(instance: Instance, delta: Fraction, budget: int):
 def cmd_solve(args) -> int:
     start = time.perf_counter()
     instance = _load_instance(args.instance)
+    # Checked here, not only in `bracket_T_star`, so that a bad argument fails
+    # before the T* search whatever the size of the instance.
     delta = parse_rational(args.delta)
+    if delta <= 0:
+        raise InvalidTarget(f"delta must be positive, got {delta}")
+    target = None if args.target == "auto" else parse_rational(args.target)
+    if target is not None and target < 0:
+        raise InvalidTarget(f"target must be non-negative, got {target}")
     t_star, t_star_info = _resolve_t_star(instance, delta, args.budget)
-    target = t_star if args.target == "auto" else parse_rational(args.target)
+    if target is None:
+        target = t_star
 
     result = solve(instance, target)
     search = result.search
@@ -216,13 +225,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    if args.trials < 0:
+        raise InvalidInstance(f"trials must be non-negative, got {args.trials}")
     rows = []
     max_gap: Optional[Fraction] = None
     for trial in range(args.trials):
         instance = generate_instance(
             args.kind, args.players, args.resources, args.seed + trial
         )
-        t_star, _ = compute_T_star(instance, "exact", budget=args.budget)
+        t_star = compute_T_star(instance, budget=args.budget)
         opt = brute_force_opt(instance)
         min_value = None
         ratio = None

@@ -12,10 +12,11 @@ against both constraint families, infeasibility prices must have a positive
 objective, and their dual feasibility is checked by the last round itself,
 which priced every player at exactly those prices and found nothing cheaper.
 
-The optimal target is the largest T at which CLP(T) is feasible.  Feasibility
-only changes when the configuration sets change, i.e. at subset-sum values of
-some player's desired resources, so the exact mode binary-searches those
-breakpoints; bisect mode brackets the optimum to a requested width instead.
+The optimal target T* is the largest T at which CLP(T) is feasible.
+Feasibility only changes when the configuration sets change, i.e. at
+subset-sum values of some player's desired resources, so `compute_T_star`
+binary-searches those breakpoints.  When they exceed the work budget,
+`bracket_T_star` bisects instead and returns T* to a requested accuracy.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class ConfigColumn:
 
     player: str
     bundle: frozenset[str]
-    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -108,30 +108,17 @@ class DualCertificate:
 
 
 @dataclass(frozen=True)
-class TranscriptEntry:
-    """One column-generation event: a column entering the pool."""
-
-    iteration: int
-    player: str
-    bundle: tuple[str, ...]
-    cost: Fraction
-    master_objective: Fraction
-
-    def line(self) -> str:
-        bundle = ",".join(self.bundle)
-        return (
-            f"iter={self.iteration} player={self.player} bundle=[{bundle}] "
-            f"cost={format_rational(self.cost)} "
-            f"master={format_rational(self.master_objective)}"
-        )
-
-
-@dataclass(frozen=True)
 class ClpVerdict:
+    """A CLP(T) decision with its evidence.
+
+    `transcript` is the column pool: every configuration column generated,
+    in the order it entered.
+    """
+
     status: str
     solution: Optional[tuple[tuple[ConfigColumn, Fraction], ...]] = None
     prices: Optional[DualCertificate] = None
-    transcript: tuple[TranscriptEntry, ...] = ()
+    transcript: tuple[ConfigColumn, ...] = ()
 
     @property
     def feasible(self) -> bool:
@@ -259,10 +246,7 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
 
     pool: list[ConfigColumn] = []
     pooled: set[tuple[str, frozenset[str]]] = set()
-    transcript: list[TranscriptEntry] = []
-    iteration = 0
     while True:
-        iteration += 1
         outcome = solve_lp(_master_lp(instance, pool))
         if outcome.status != OPTIMAL:  # the master always has the slack point
             raise VerificationFailed(f"master LP reported {outcome.status}")
@@ -274,7 +258,7 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
             r: -outcome.dual[m + ri]
             for ri, r in enumerate(instance.resources)
         }
-        improving: list[tuple[ConfigColumn, Fraction]] = []
+        improving: list[ConfigColumn] = []
         for p in instance.players:
             priced = min_cost_configuration(instance, p, z, target)
             if priced is None:
@@ -288,35 +272,23 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
                         f"pooled column {instance.sorted_resources(bundle)} of {p!r} "
                         f"priced {cost} < {y[p]} again"
                     )
-                col = ConfigColumn(
-                    player=p, bundle=bundle, value=bundle_value(instance, p, bundle)
-                )
-                improving.append((col, cost))
+                improving.append(ConfigColumn(player=p, bundle=bundle))
         if not improving:
-            return _final_verdict(instance, pool, outcome, y, z, transcript)
+            return _final_verdict(instance, pool, outcome, y, z)
         # Canonical (player, bundle) order keeps runs reproducible no matter
         # how the per-player pricing was scheduled.
         improving.sort(
-            key=lambda item: (
-                instance.player_index(item[0].player),
-                tuple(sorted(instance.resource_index(r) for r in item[0].bundle)),
+            key=lambda col: (
+                instance.player_index(col.player),
+                tuple(sorted(instance.resource_index(r) for r in col.bundle)),
             )
         )
-        for col, cost in improving:
+        for col in improving:
             pool.append(col)
             pooled.add((col.player, col.bundle))
-            transcript.append(
-                TranscriptEntry(
-                    iteration=iteration,
-                    player=col.player,
-                    bundle=tuple(instance.sorted_resources(col.bundle)),
-                    cost=cost,
-                    master_objective=outcome.objective,
-                )
-            )
 
 
-def _final_verdict(instance, pool, outcome, y, z, transcript):
+def _final_verdict(instance, pool, outcome, y, z):
     shortfall = outcome.objective
     if shortfall == 0:
         solution = []
@@ -335,9 +307,7 @@ def _final_verdict(instance, pool, outcome, y, z, transcript):
         if not all(used[r] <= 1 for r in instance.resources):
             raise VerificationFailed("master solution overuses a resource")
         return ClpVerdict(
-            status=FEASIBLE,
-            solution=tuple(solution),
-            transcript=tuple(transcript),
+            status=FEASIBLE, solution=tuple(solution), transcript=tuple(pool)
         )
 
     prices = DualCertificate(y=dict(y), z=dict(z))
@@ -345,9 +315,7 @@ def _final_verdict(instance, pool, outcome, y, z, transcript):
         raise VerificationFailed(
             f"infeasibility prices have objective {prices.objective} <= 0"
         )
-    return ClpVerdict(
-        status=INFEASIBLE, prices=prices, transcript=tuple(transcript)
-    )
+    return ClpVerdict(status=INFEASIBLE, prices=prices, transcript=tuple(pool))
 
 
 def subset_sum_breakpoints(
@@ -375,62 +343,43 @@ def subset_sum_breakpoints(
     return sorted(seen)
 
 
-@dataclass(frozen=True)
-class TargetSearchProbe:
-    target: Fraction
-    status: str
-
-    def line(self) -> str:
-        return f"probe T={format_rational(self.target)} -> {self.status}"
-
-
 def compute_T_star(
-    instance: Instance,
-    mode: str = "exact",
-    *,
-    delta: Fraction = Fraction(1, 1000),
-    budget: int = DEFAULT_BREAKPOINT_BUDGET,
-) -> tuple[Fraction, tuple[TargetSearchProbe, ...]]:
-    """Largest target at which CLP is feasible, with the probe transcript.
+    instance: Instance, *, budget: int = DEFAULT_BREAKPOINT_BUDGET
+) -> Fraction:
+    """T*, the largest target at which CLP is feasible.
 
-    Exact mode binary-searches the subset-sum breakpoints (raises
-    BudgetExceeded on oversized instances); bisect mode returns a feasible T
-    with CLP(T + delta) infeasible.
+    Binary search over the subset-sum breakpoints, one `clp_feasible` probe
+    per step; raises BudgetExceeded when the breakpoints exceed `budget`.
     """
-    probes: list[TargetSearchProbe] = []
+    points = subset_sum_breakpoints(instance, budget=budget)
+    lo, hi = 0, len(points) - 1
+    # CLP(0) is always feasible: the empty bundle is a configuration.
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if clp_feasible(instance, points[mid]).feasible:
+            lo = mid
+        else:
+            hi = mid - 1
+    return points[lo]
 
-    def feasible(t: Fraction) -> bool:
-        verdict = clp_feasible(instance, t)
-        probes.append(TargetSearchProbe(target=t, status=verdict.status))
-        return verdict.feasible
 
-    if mode == "exact":
-        points = subset_sum_breakpoints(instance, budget=budget)
-        lo, hi = 0, len(points) - 1
-        # CLP(0) is always feasible: the empty bundle is a configuration.
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if feasible(points[mid]):
-                lo = mid
-            else:
-                hi = mid - 1
-        return points[lo], tuple(probes)
+def bracket_T_star(instance: Instance, delta: Fraction) -> Fraction:
+    """A feasible target within `delta` of T*: T* - delta < result <= T*.
 
-    if mode == "bisect":
-        delta = Fraction(delta)
-        if delta <= 0:
-            raise InvalidTarget(f"delta must be positive, got {delta}")
-        ceiling = min(
-            bundle_value(instance, p, instance.desired_by(p))
-            for p in instance.players
-        )
-        lo, hi = _ZERO, ceiling + 1  # hi exceeds every feasible target
-        while hi - lo > delta:
-            mid = (lo + hi) / 2
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo, tuple(probes)
-
-    raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'bisect'")
+    Bisects from 0 to one above the smallest total desired value, so it
+    needs no breakpoints; CLP(result + delta) is infeasible.
+    """
+    delta = Fraction(delta)
+    if delta <= 0:
+        raise InvalidTarget(f"delta must be positive, got {delta}")
+    ceiling = min(
+        bundle_value(instance, p, instance.desired_by(p)) for p in instance.players
+    )
+    lo, hi = _ZERO, ceiling + 1  # hi exceeds every feasible target
+    while hi - lo > delta:
+        mid = (lo + hi) / 2
+        if clp_feasible(instance, mid).feasible:
+            lo = mid
+        else:
+            hi = mid
+    return lo

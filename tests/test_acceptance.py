@@ -60,7 +60,7 @@ def corpus():
         m = shape.randint(1, 5)
         n = shape.randint(1, 10)
         instance = generate_instance("uniform", m, n, seed)
-        t_star, _ = compute_T_star(instance)
+        t_star = compute_T_star(instance)
         entries.append(CorpusEntry(seed=seed, instance=instance, t_star=t_star))
     return entries
 

@@ -181,7 +181,7 @@ class TestEndToEndSoundness:
         produced = 0
         for seed in range(12):
             inst = generate_instance("uniform", 3, 6, seed)
-            t_star, _ = compute_T_star(inst)
+            t_star = compute_T_star(inst)
             target = t_star + F(1, 10)
             while True:
                 ni = normalize(inst, target)
@@ -202,7 +202,7 @@ class TestEndToEndSoundness:
     def test_never_stuck_at_or_below_optimum(self):
         for seed in range(12):
             inst = generate_instance("uniform", 3, 6, seed)
-            t_star, _ = compute_T_star(inst)
+            t_star = compute_T_star(inst)
             if t_star == 0:
                 continue
             for target in (t_star, t_star * F(2, 3)):

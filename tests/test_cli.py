@@ -153,6 +153,27 @@ class TestSolve:
         bad.write_text(json.dumps({"players": ["p1"], "resources": 5}))
         assert main(["solve", "--instance", str(bad)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--target", "abc"],
+            ["--target", "-1"],
+            ["--delta", "-1"],
+            ["--delta", "0", "--budget", "1"],
+        ],
+        ids=["target-not-rational", "target-negative", "delta-negative", "delta-zero"],
+    )
+    def test_bad_arguments_fail_before_t_star(
+        self, monkeypatch, capsys, tmp_path, two_fat, argv
+    ):
+        def unreachable(*args, **kwargs):
+            pytest.fail("the T* search ran before the arguments were checked")
+
+        monkeypatch.setattr(cli, "compute_T_star", unreachable)
+        code = main(["solve", "--instance", write_instance(tmp_path, two_fat), *argv])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_bracket_fallback_on_tiny_budget(self, capsys, tmp_path, ten_thin):
         inst_path = write_instance(tmp_path, ten_thin)
         code, report = run_cli(
@@ -353,6 +374,15 @@ class TestGap:
             ["gap", "--players", "7", "--resources", "4", "--trials", "1"]
         )
         assert code == EXIT_BUDGET
+
+    def test_negative_trials(self, capsys):
+        code = main(
+            ["gap", "--players", "3", "--resources", "5", "--trials", "-2"]
+        )
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
 
 
 def test_module_entry_point(tmp_path, two_fat):

@@ -18,7 +18,7 @@ from maxminfair import (
     oracle,
     subset_sum_breakpoints,
 )
-from maxminfair.configlp import FEASIBLE, INFEASIBLE
+from maxminfair.configlp import FEASIBLE, INFEASIBLE, bracket_T_star
 from maxminfair.errors import (
     BudgetExceeded,
     InvalidTarget,
@@ -192,10 +192,22 @@ class TestClpFeasible:
         assert verdict.status == INFEASIBLE
         assert verdict.prices.objective > 0
 
-    def test_transcript_lines(self, two_fat):
-        verdict = clp_feasible(two_fat, F(1))
-        lines = [entry.line() for entry in verdict.transcript]
-        assert lines and all("player=" in line and "master=" in line for line in lines)
+    def test_transcript_is_the_column_pool(self, two_fat):
+        # Feasible and infeasible verdicts at breakpoints of each kind.
+        cases = [(two_fat, F(1)), (two_fat, F(3, 2))]
+        for kind in KINDS:
+            inst = generate_instance(kind, 3, 6, 0)
+            cases += [(inst, t) for t in subset_sum_breakpoints(inst)[1::4]]
+        for inst, target in cases:
+            verdict = clp_feasible(inst, target)
+            assert verdict.transcript
+            for col in verdict.transcript:
+                assert col.bundle <= set(inst.desired_by(col.player))
+                assert bundle_value(inst, col.player, col.bundle) >= target
+            keys = [(col.player, col.bundle) for col in verdict.transcript]
+            assert len(set(keys)) == len(keys)
+            for col, _ in verdict.solution or ():
+                assert col in verdict.transcript
 
     def test_prices_json_round_trip(self, two_fat):
         verdict = clp_feasible(two_fat, F(3, 2))
@@ -208,32 +220,43 @@ class TestClpFeasible:
 class TestComputeTStar:
     def test_two_fat(self, two_fat):
         assert subset_sum_breakpoints(two_fat) == [F(0), F(1), F(2)]
-        t, probes = compute_T_star(two_fat)
-        assert t == 1
-        assert probes  # the search solved at least one CLP
+        assert compute_T_star(two_fat) == 1
 
     def test_ten_thin(self, ten_thin):
-        assert compute_T_star(ten_thin)[0] == 1
+        assert compute_T_star(ten_thin) == 1
 
     def test_shared_single(self, shared_single):
-        assert compute_T_star(shared_single)[0] == 0
+        assert compute_T_star(shared_single) == 0
 
     def test_budget_exceeded(self, ten_thin):
         with pytest.raises(BudgetExceeded):
             compute_T_star(ten_thin, budget=8)
 
     def test_bisect_brackets_exact(self, two_fat):
-        t, _ = compute_T_star(two_fat, "bisect", delta=F(1, 64))
+        t = bracket_T_star(two_fat, F(1, 64))
         assert clp_feasible(two_fat, t).feasible
         assert not clp_feasible(two_fat, t + F(1, 64)).feasible
         assert 1 - F(1, 64) <= t <= 1
 
+    def test_bracket_agrees_with_exact_search(self):
+        delta = F(1, 64)
+        for kind in KINDS:
+            for seed in range(10):
+                inst = generate_instance(kind, 3, 6, seed)
+                t_star = compute_T_star(inst)
+                t = bracket_T_star(inst, delta)
+                assert t_star - delta < t <= t_star
+                assert clp_feasible(inst, t).feasible
+        for bad in (F(0), -delta):
+            with pytest.raises(InvalidTarget):
+                bracket_T_star(inst, bad)
+
     def test_scaling_covariance(self):
         for seed in range(4):
             inst = generate_instance("uniform", 3, 5, seed)
-            base, _ = compute_T_star(inst)
+            base = compute_T_star(inst)
             for c in (F(3, 2), F(1, 3), F(7)):
-                scaled, _ = compute_T_star(inst.scaled(c))
+                scaled = compute_T_star(inst.scaled(c))
                 assert scaled == c * base
 
 
@@ -250,7 +273,7 @@ class TestProperties:
     def test_infeasible_certificates_are_sound(self):
         for seed in range(8):
             inst = generate_instance("uniform", 3, 6, seed)
-            t_star, _ = compute_T_star(inst)
+            t_star = compute_T_star(inst)
             verdict = clp_feasible(inst, t_star + F(1, 7))
             assert verdict.status == INFEASIBLE
             prices = verdict.prices
@@ -265,7 +288,7 @@ class TestProperties:
     def test_agreement_with_enumerated_oracle(self):
         for seed in range(10):
             inst = generate_instance("uniform", 3, 6, seed)
-            t_cg, _ = compute_T_star(inst)
+            t_cg = compute_T_star(inst)
             assert t_cg == exact_T_star_enumerated(inst)
             for t in (F(0), t_cg, t_cg + F(1, 9)):
                 assert clp_feasible(inst, t).feasible == enumerated_clp_feasible(

@@ -272,7 +272,7 @@ class TestExtendMatching:
     def test_matched_players_stay_matched(self):
         for seed in range(6):
             inst = generate_instance("uniform", 4, 8, seed)
-            t_star, _ = compute_T_star(inst)
+            t_star = compute_T_star(inst)
             if t_star == 0:
                 continue
             ni = normalize(inst, t_star)
@@ -308,7 +308,7 @@ class TestFindPerfectMatching:
     def test_random_policy_still_succeeds(self):
         for seed in range(5):
             inst = generate_instance("uniform", 4, 8, seed)
-            t_star, _ = compute_T_star(inst)
+            t_star = compute_T_star(inst)
             if t_star == 0:
                 continue
             ni = normalize(inst, t_star)
@@ -320,7 +320,7 @@ class TestFindPerfectMatching:
     def test_random_policy_respects_invariants(self):
         for seed in range(8):
             inst = generate_instance("clustered-desire", 5, 9, seed)
-            t_star, _ = compute_T_star(inst)
+            t_star = compute_T_star(inst)
             if t_star == 0:
                 continue
             ni = normalize(inst, t_star)
@@ -384,7 +384,7 @@ class TestCompleteAllocation:
     def test_partition_and_guarantee(self):
         for seed in range(6):
             inst = generate_instance("uniform", 4, 8, seed)
-            t_star, _ = compute_T_star(inst)
+            t_star = compute_T_star(inst)
             if t_star == 0:
                 continue
             ni = normalize(inst, t_star)
@@ -461,7 +461,7 @@ class TestClusteredStress:
     def test_larger_clustered_instances(self):
         for seed in range(4):
             inst = generate_instance("clustered-desire", 8, 14, seed)
-            t_star, _ = compute_T_star(inst)
+            t_star = compute_T_star(inst)
             if t_star == 0:
                 continue
             ni = normalize(inst, t_star)
@@ -480,7 +480,7 @@ class TestInvariantsUnderFuzz:
     def test_audited_search(self):
         for seed in range(10):
             inst = generate_instance("uniform", 4, 8, seed)
-            t_star, _ = compute_T_star(inst)
+            t_star = compute_T_star(inst)
             if t_star == 0:
                 continue
             ni = normalize(inst, t_star)
@@ -495,7 +495,7 @@ class TestInvariantsUnderFuzz:
     def test_thin_edges_below_twice_threshold(self):
         for seed in range(10):
             inst = generate_instance("uniform", 4, 8, seed)
-            t_star, _ = compute_T_star(inst)
+            t_star = compute_T_star(inst)
             if t_star == 0:
                 continue
             ni = normalize(inst, t_star)

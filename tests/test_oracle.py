@@ -78,7 +78,7 @@ class TestExactTStarEnumerated:
     def test_cross_oracle_identity(self):
         for seed in range(10):
             inst = generate_instance("uniform", 3, 6, seed)
-            assert exact_T_star_enumerated(inst) == compute_T_star(inst)[0]
+            assert exact_T_star_enumerated(inst) == compute_T_star(inst)
 
     def test_sandwich(self):
         for seed in range(10):
