@@ -33,10 +33,10 @@ _ONE = Fraction(1)
 def assert_stuck(ni: NormalizedInstance, state: SearchState) -> None:
     """Raise StateNotStuck unless neither move is available.
 
-    The deterministic edge policy is complete: it returns an edge whenever an
-    uncovered fat resource exists for an active player or the uncovered thin
-    resources of an active player together reach the threshold, which are
-    exactly the conditions under which any addable edge exists.
+    `find_addable_edge` is complete: it returns an edge whenever an uncovered
+    fat resource exists for an active player or the uncovered thin resources
+    of an active player together reach the threshold, which are exactly the
+    conditions under which any addable edge exists.
     """
     if any(b.removable for b in state.blockers):
         raise StateNotStuck("a removable blocker exists")

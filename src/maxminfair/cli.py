@@ -2,7 +2,8 @@
 
 Reports go to standard output as JSON; allocations, instances and traces are
 written to files given by flags.  Exit codes are a stable contract for
-scripting: 0 success/allocated, 1 failed verification, 2 certified
+scripting: 0 success/allocated, 1 failed verification (or standard output
+closed before the report was written, as by `| head`), 2 certified
 infeasible, 3 input error, 4 enumeration budget exceeded.
 """
 
@@ -145,6 +146,8 @@ def cmd_solve(args) -> int:
     target = None if args.target == "auto" else parse_rational(args.target)
     if target is not None and target < 0:
         raise InvalidTarget(f"target must be non-negative, got {target}")
+    if args.budget < 1:
+        raise InvalidInstance(f"budget must be at least 1, got {args.budget}")
     t_star, t_star_info = _resolve_t_star(instance, delta, args.budget)
     if target is None:
         target = t_star
@@ -227,6 +230,8 @@ def cmd_gen(args) -> int:
 def cmd_gap(args) -> int:
     if args.trials < 0:
         raise InvalidInstance(f"trials must be non-negative, got {args.trials}")
+    if args.budget < 1:
+        raise InvalidInstance(f"budget must be at least 1, got {args.budget}")
     rows = []
     max_gap: Optional[Fraction] = None
     for trial in range(args.trials):
@@ -363,10 +368,9 @@ def main(argv=None) -> int:
     except VerificationFailed as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (InvalidInstance, MaxMinFairError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, json.JSONDecodeError) as exc:
+    except BrokenPipeError:
+        return EXIT_FAIL  # standard output was closed (`| head`): stop quietly
+    except (MaxMinFairError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -236,13 +236,14 @@ class NormalizedInstance:
     resources reach it on their own, `thin` ones do not.  Desired resources of
     value zero belong to neither class (they can never help reach the
     threshold) but remain legal and may be handed out when completing an
-    allocation.
+    allocation.  `fat[p]` lists p's fat resources by index and `thin[p]` its
+    thin ones by descending value, ties by index: the local search's order.
     """
 
     base: Instance
     threshold: Fraction
-    fat: Mapping[str, frozenset[str]]
-    thin: Mapping[str, frozenset[str]]
+    fat: Mapping[str, tuple[str, ...]]
+    thin: Mapping[str, tuple[str, ...]]
     fat_resources: frozenset[str]
 
     def is_fat(self, resource: str) -> bool:
@@ -259,21 +260,19 @@ def normalize(instance: Instance, target: Fraction) -> NormalizedInstance:
         raise InvalidTarget(f"target must be positive, got {target}")
     scaled = instance.scaled(Fraction(1, 1) / target)
     threshold = GUARANTEE_FRACTION
-    fat_resources = frozenset(
-        r for r in scaled.resources if scaled.value[r] >= threshold
-    )
-    fat: dict[str, frozenset[str]] = {}
-    thin: dict[str, frozenset[str]] = {}
-    for p in scaled.players:
+    value = scaled.value
+    fat_order = [r for r in scaled.resources if value[r] >= threshold]
+    thin_order = [r for r in scaled.resources if 0 < value[r] < threshold]
+    thin_order.sort(key=lambda r: -value[r])  # stable: ties keep index order
+    fat, thin = {}, {}
+    for p in scaled.players:  # tuple([...]): a resized tuple(<gen>) pins free lists
         wanted = scaled.desired_by(p)
-        fat[p] = frozenset(r for r in wanted if r in fat_resources)
-        thin[p] = frozenset(
-            r for r in wanted if 0 < scaled.value[r] < threshold
-        )
+        fat[p] = tuple([r for r in fat_order if r in wanted])
+        thin[p] = tuple([r for r in thin_order if r in wanted])
     return NormalizedInstance(
         base=scaled,
         threshold=threshold,
         fat=fat,
         thin=thin,
-        fat_resources=fat_resources,
+        fat_resources=frozenset(fat_order),
     )

@@ -6,8 +6,10 @@ grows a chronological sequence of blockers: each blocker pairs a candidate
 edge with the matching edges currently occupying its resources.  A blocker
 with no blocking edges is contracted (its candidate enters the matching,
 freeing an earlier blocking edge and truncating the sequence); otherwise a new
-addable edge is built on top.  The signature of the blocker sequence strictly
-decreases lexicographically at every step, so each extension terminates.
+addable edge is built on top.  The analysis needs only some addable edge, so
+the search takes the first one in the order `normalize` stored each player's
+resources.  The signature of the blocker sequence strictly decreases
+lexicographically at every step, so each extension terminates.
 
 Each claim the search relies on is checked once, where it is relied on, and
 a failure raises `VerificationFailed`, which `python -O` does not strip:
@@ -23,7 +25,6 @@ infeasibility certificate (see `certificates`).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
@@ -172,9 +173,10 @@ class SearchState:
 
 
 def make_fat_edge(ni: NormalizedInstance, player: str, resource: str) -> Edge:
-    if resource not in ni.fat.get(player, frozenset()):
+    edge = Edge(player=player, bundle=frozenset({resource}), kind=FAT)
+    if not edge_in_hypergraph(ni, edge):
         raise ValueError(f"{resource!r} is not a fat resource desired by {player!r}")
-    return Edge(player=player, bundle=frozenset({resource}), kind=FAT)
+    return edge
 
 
 def make_thin_edge(ni: NormalizedInstance, player: str, bundle: Iterable[str]) -> Edge:
@@ -190,13 +192,12 @@ def is_minimal_thin_edge(
     """True iff `bundle` is all-thin for the player, reaches the threshold,
     and every single removal drops below it."""
     bundle = frozenset(bundle)
-    thin = ni.thin.get(player)
-    if thin is None:
-        ni.base.player_index(player)
-        thin = frozenset()
+    desired = ni.base.desired_by(player)
     for r in bundle:
         ni.base.resource_index(r)
-    if not bundle or not bundle <= thin:
+    if not bundle or not all(
+        r in desired and 0 < ni.value(r) < ni.threshold for r in bundle
+    ):
         return False
     total = sum((ni.value(r) for r in bundle), _ZERO)
     if total < ni.threshold:
@@ -209,81 +210,37 @@ def edge_in_hypergraph(ni: NormalizedInstance, edge: Edge) -> bool:
     if edge.kind == FAT:
         return (
             len(edge.bundle) == 1
-            and next(iter(edge.bundle)) in ni.fat.get(edge.player, frozenset())
+            and edge.bundle <= ni.fat_resources
+            and edge.bundle <= ni.base.desire.get(edge.player, frozenset())
         )
     if edge.kind == THIN:
         return is_minimal_thin_edge(ni, edge.player, edge.bundle)
     return False
 
 
-def _greedy_thin_bundle(
-    ni: NormalizedInstance, available: list[str]
-) -> Optional[frozenset[str]]:
-    """Accumulate thin resources until the threshold, then trim to minimality.
-
-    `available` fixes the accumulation order; trimming removes resources in
-    ascending value (ties by index) while the bundle stays at or above the
-    threshold.  With a descending-value order the trim is a no-op, but it
-    guarantees minimality under any order (e.g. the randomized policy).
-    """
-    chosen: list[str] = []
-    total = _ZERO
-    for r in available:
-        chosen.append(r)
-        total += ni.value(r)
-        if total >= ni.threshold:
-            break
-    if total < ni.threshold:
-        return None
-    index = ni.base.resource_index
-    for r in sorted(chosen, key=lambda r: (ni.value(r), index(r))):
-        if total - ni.value(r) >= ni.threshold:
-            chosen.remove(r)
-            total -= ni.value(r)
-    return frozenset(chosen)
-
-
-def find_addable_edge(
-    ni: NormalizedInstance,
-    state: SearchState,
-    rng: Optional[random.Random] = None,
-) -> Optional[Edge]:
+def find_addable_edge(ni: NormalizedInstance, state: SearchState) -> Optional[Edge]:
     """An edge for an active player avoiding every covered resource, or None.
 
-    Deterministic policy: scan active players in activation order; prefer the
-    smallest-index uncovered fat resource, otherwise grow a thin bundle
-    greedily by descending value.  Passing `rng` switches to a seeded uniform
-    choice among all candidate edges (one thin candidate per player).
+    First fit: scan the active players in activation order; for each, take
+    the first uncovered fat resource, otherwise the uncovered thin resources
+    in stored order (descending value, ties by index) until they reach the
+    threshold.  That bundle is minimal: the last resource taken is the
+    smallest, and the total before it was below the threshold.  The scan
+    returns None exactly when no addable edge exists.
     """
-    index = ni.base.resource_index
     covered = state.covered
-    candidates: list[Edge] = []
     for q in state.active_order:
-        fat_avail = sorted(
-            (r for r in ni.fat.get(q, frozenset()) if r not in covered), key=index
-        )
-        # Canonical order before any use: set iteration order is not stable
-        # across processes, and the seeded policy must be.
-        thin_avail = sorted(
-            (r for r in ni.thin.get(q, frozenset()) if r not in covered), key=index
-        )
-        if rng is None:
-            if fat_avail:
-                return Edge(player=q, bundle=frozenset({fat_avail[0]}), kind=FAT)
-            thin_avail.sort(key=lambda r: (-ni.value(r), index(r)))
-            bundle = _greedy_thin_bundle(ni, thin_avail)
-            if bundle is not None:
-                return Edge(player=q, bundle=bundle, kind=THIN)
-        else:
-            candidates.extend(
-                Edge(player=q, bundle=frozenset({r}), kind=FAT) for r in fat_avail
-            )
-            rng.shuffle(thin_avail)
-            bundle = _greedy_thin_bundle(ni, thin_avail)
-            if bundle is not None:
-                candidates.append(Edge(player=q, bundle=bundle, kind=THIN))
-    if rng is not None and candidates:
-        return candidates[rng.randrange(len(candidates))]
+        for r in ni.fat[q]:
+            if r not in covered:
+                return Edge(player=q, bundle=frozenset({r}), kind=FAT)
+        chosen = []
+        total = _ZERO
+        for r in ni.thin[q]:
+            if r not in covered:
+                chosen.append(r)
+                total += ni.value(r)
+                if total >= ni.threshold:
+                    return Edge(player=q, bundle=frozenset(chosen), kind=THIN)
     return None
 
 
@@ -416,7 +373,6 @@ def extend_matching(
     matching: Matching,
     root_player: str,
     *,
-    rng: Optional[random.Random] = None,
     on_step: Optional[Callable[[SearchState], None]] = None,
 ) -> ExtendOutcome:
     """Grow `matching` by one edge so that `root_player` becomes matched.
@@ -462,7 +418,7 @@ def extend_matching(
                 )
             emit("contract", touched.player, touched.bundle, removable)
         else:
-            edge = find_addable_edge(ni, state, rng)
+            edge = find_addable_edge(ni, state)
             if edge is None:
                 emit("stuck", None, None, None)
                 return ExtendOutcome(
@@ -506,16 +462,13 @@ class SearchOutcome:
 def find_perfect_matching(
     ni: NormalizedInstance,
     *,
-    rng: Optional[random.Random] = None,
     on_step: Optional[Callable[[SearchState], None]] = None,
 ) -> SearchOutcome:
     """Match every player by repeated extension, or surface the first Stuck state."""
     matching = Matching.empty()
     extensions: list[ExtendOutcome] = []
     for p in ni.base.players:
-        if matching.edge_of(p) is not None:
-            continue
-        outcome = extend_matching(ni, matching, p, rng=rng, on_step=on_step)
+        outcome = extend_matching(ni, matching, p, on_step=on_step)
         extensions.append(outcome)
         if not outcome.extended:
             return SearchOutcome(

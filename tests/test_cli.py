@@ -2,6 +2,7 @@ import gc
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -10,7 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from maxminfair import cli, configlp, format_rational, validate_instance
+from maxminfair import (
+    cli,
+    configlp,
+    format_rational,
+    generate_instance,
+    validate_instance,
+)
 from maxminfair.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -160,8 +167,17 @@ class TestSolve:
             ["--target", "-1"],
             ["--delta", "-1"],
             ["--delta", "0", "--budget", "1"],
+            ["--budget", "-1"],
+            ["--budget", "0"],
         ],
-        ids=["target-not-rational", "target-negative", "delta-negative", "delta-zero"],
+        ids=[
+            "target-not-rational",
+            "target-negative",
+            "delta-negative",
+            "delta-zero",
+            "budget-negative",
+            "budget-zero",
+        ],
     )
     def test_bad_arguments_fail_before_t_star(
         self, monkeypatch, capsys, tmp_path, two_fat, argv
@@ -383,6 +399,66 @@ class TestGap:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error:")
+
+    def test_budget_below_one(self, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            pytest.fail("the T* search ran before the budget was checked")
+
+        monkeypatch.setattr(cli, "compute_T_star", unreachable)
+        code = main(
+            ["gap", "--players", "3", "--resources", "5", "--budget", "-1"]
+        )
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+
+
+def test_closed_stdout_exits_quietly(monkeypatch, capsys, tmp_path, two_fat):
+    """A reader that closed the pipe (`solve ... | head`) is not an input error."""
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    argv = ["solve", "--instance", write_instance(tmp_path, two_fat)]
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", ClosedPipe())
+        code = main(argv)
+    assert code == EXIT_FAIL
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "target, outcome", [("1", "Allocated"), ("2", "Certified-Infeasible")]
+)
+def test_output_is_independent_of_string_hashing(tmp_path, target, outcome):
+    """Reports and traces do not depend on set iteration order, which
+    PYTHONHASHSEED changes from one process to the next."""
+    root = Path(__file__).resolve().parents[1]
+    inst = generate_instance("fat-thin-mix", 4, 8, 3)  # T* = 1/2
+    inst_path = write_instance(tmp_path, inst)
+    runs = []
+    for hash_seed in ("1", "2"):
+        trace = tmp_path / f"trace-{hash_seed}.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxminfair", "solve", "--instance", inst_path,
+             "--target", target, "--trace", str(trace)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src"),
+                 "PYTHONHASHSEED": hash_seed},
+        )
+        report = json.loads(proc.stdout)
+        del report["wall_time_seconds"]
+        runs.append((proc.returncode, report, trace.read_bytes()))
+    assert runs[0][1]["outcome"] == outcome
+    rows = [json.loads(line) for line in runs[0][2].splitlines()]
+    assert any(len(row["bundle"]) > 1 for row in rows)  # thin bundles are traced
+    assert runs[0] == runs[1]
 
 
 def test_module_entry_point(tmp_path, two_fat):

@@ -165,8 +165,8 @@ class TestNormalize:
         )
         ni = normalize(inst, Fraction(1))
         assert ni.base.value["a"] == Fraction(1, 2)
-        assert ni.fat["p"] == frozenset({"a"})
-        assert ni.thin["p"] == frozenset({"b", "c"})
+        assert ni.fat["p"] == ("a",)
+        assert ni.thin["p"] == ("b", "c")
 
     def test_target_two_scales_down(self):
         inst = make_instance(
@@ -174,13 +174,13 @@ class TestNormalize:
         )
         ni = normalize(inst, Fraction(2))
         assert ni.base.value["a"] == Fraction(1, 4)
-        assert ni.fat["p"] == frozenset()
-        assert ni.thin["p"] == frozenset({"a", "b", "c"})
+        assert ni.fat["p"] == ()
+        assert ni.thin["p"] == ("a", "b", "c")
 
     def test_boundary_is_fat(self):
         inst = make_instance({"a": "6/23"}, {"p": ["a"]})
         ni = normalize(inst, Fraction(1))
-        assert ni.fat["p"] == frozenset({"a"})
+        assert ni.fat["p"] == ("a",)
         assert ni.is_fat("a")
 
     def test_zero_value_in_neither_class(self):
@@ -188,6 +188,16 @@ class TestNormalize:
         ni = normalize(inst, Fraction(1))
         assert "a" not in ni.fat["p"] and "a" not in ni.thin["p"]
         assert "a" in ni.base.desired_by("p")
+
+    def test_search_order(self):
+        # Fat resources by index; thin ones by descending value, ties by index.
+        inst = make_instance(
+            {"f": "1/2", "a": "1/10", "b": "1/5", "g": "1", "c": "1/10", "d": "1/5"},
+            {"p": ["a", "b", "c", "d", "f", "g"], "q": ["c", "a", "g"]},
+        )
+        ni = normalize(inst, Fraction(1))
+        assert ni.fat == {"p": ("f", "g"), "q": ("g",)}
+        assert ni.thin == {"p": ("b", "d", "a", "c"), "q": ("a", "c")}
 
     def test_nonpositive_target_rejected(self, two_fat):
         with pytest.raises(InvalidTarget):
@@ -223,8 +233,13 @@ def test_normalize_round_trip(inst, target):
 @given(instances(), positive_rationals)
 def test_fat_thin_partition(inst, target):
     ni = normalize(inst, target)
+    index = inst.resource_index
     for p in inst.players:
-        assert not (ni.fat[p] & ni.thin[p])
+        assert list(ni.fat[p]) == sorted(ni.fat[p], key=index)
+        assert list(ni.thin[p]) == sorted(
+            ni.thin[p], key=lambda r: (-ni.value(r), index(r))
+        )
+        assert not set(ni.fat[p]) & set(ni.thin[p])
         for r in inst.desired_by(p):
             if inst.value[r] > 0:
                 assert (r in ni.fat[p]) != (r in ni.thin[p])

@@ -49,6 +49,54 @@ def thin_edge(player, *resources):
     return Edge(player=player, bundle=frozenset(resources), kind=THIN)
 
 
+def random_addable_edge(ni, state, rng):
+    """Some addable edge, drawn at random: an uncovered fat resource of an
+    active player, or uncovered thin ones taken in shuffled order until they
+    reach the threshold, then trimmed in ascending value to a minimal bundle."""
+    edges = []
+    for q in state.active_order:
+        edges += [fat_edge(q, r) for r in ni.fat[q] if r not in state.covered]
+        thin = [r for r in ni.thin[q] if r not in state.covered]
+        rng.shuffle(thin)
+        chosen, total = [], F(0)
+        while thin and total < ni.threshold:
+            chosen.append(thin.pop())
+            total += ni.value(chosen[-1])
+        if total >= ni.threshold:
+            for r in sorted(chosen, key=ni.value):
+                if total - ni.value(r) >= ni.threshold:
+                    chosen.remove(r)
+                    total -= ni.value(r)
+            edges.append(thin_edge(q, *chosen))
+    return rng.choice(edges) if edges else None
+
+
+def random_search(ni, rng, on_step=None):
+    """`find_perfect_matching` with a random addable edge at every build,
+    driven through `build_step` and `contract_step`.  Returns the matching
+    (None if the search halts) and each extension's signature sequence."""
+    matching = Matching.empty()
+    runs = []
+    for p in ni.base.players:
+        state = SearchState(ni, matching, p)
+        runs.append([signature(state)])
+        while True:
+            if any(b.removable for b in state.blockers):
+                extended = contract_step(state)
+                if extended is not None:
+                    matching = extended
+                    break
+            else:
+                edge = random_addable_edge(ni, state, rng)
+                if edge is None:
+                    return None, runs
+                build_step(state, edge)
+            if on_step is not None:
+                on_step(state)
+            runs[-1].append(signature(state))
+    return matching, runs
+
+
 class TestMinimalThinEdge:
     def test_boundary_pair(self):
         inst = make_instance({"a": "3/23", "b": "3/23"}, {"p": ["a", "b"]})
@@ -108,19 +156,23 @@ class TestFindAddableEdge:
         edge = find_addable_edge(ni, state)
         assert edge == thin_edge("p", "a", "b")
 
-    def test_random_policy_is_seeded(self, two_fat):
-        ni = normalize(two_fat, F(1))
-        picks = set()
-        for seed in range(6):
-            state = SearchState(ni, Matching.empty(), "p1")
-            edge = find_addable_edge(ni, state, random.Random(seed))
-            again = find_addable_edge(
-                ni, SearchState(ni, Matching.empty(), "p1"), random.Random(seed)
-            )
-            assert edge == again
-            picks.add(edge)
-        assert len(picks) > 1  # the coin actually flips
-
+    def test_ties_and_exact_threshold(self):
+        # Values in 23rds: a=1, b=2, c=2, d=2, e=2.  The stored order is
+        # b, c, d, e, a (ties by index), and b + c + d lands exactly on 6/23.
+        values = {"a": "1/23", "b": "2/23", "c": "2/23", "d": "2/23", "e": "2/23"}
+        inst = make_instance(values, {"p": list(values)})
+        ni = normalize(inst, F(1))
+        assert ni.thin["p"] == ("b", "c", "d", "e", "a")
+        edge = find_addable_edge(ni, SearchState(ni, Matching.empty(), "p"))
+        assert edge == thin_edge("p", "b", "c", "d")
+        assert is_minimal_thin_edge(ni, "p", edge.bundle)
+        # In index order a, b, c, d would pass the threshold without being
+        # minimal.  With b covered the scan skips it and takes c, d, e.
+        state = SearchState(ni, Matching.empty(), "p")
+        state.covered.add("b")
+        edge = find_addable_edge(ni, state)
+        assert edge == thin_edge("p", "c", "d", "e")
+        assert is_minimal_thin_edge(ni, "p", edge.bundle)
 
 class TestBuildStep:
     def test_blocked_build_activates(self, shared_single):
@@ -306,16 +358,20 @@ class TestFindPerfectMatching:
         assert out.status == "stuck"
 
     def test_random_policy_still_succeeds(self):
+        differs = False
         for seed in range(5):
             inst = generate_instance("uniform", 4, 8, seed)
             t_star = compute_T_star(inst)
             if t_star == 0:
                 continue
             ni = normalize(inst, t_star)
-            out = find_perfect_matching(ni, rng=random.Random(seed))
-            assert out.perfect
-            repeat = find_perfect_matching(ni, rng=random.Random(seed))
-            assert repeat.matching == out.matching
+            matching, _ = random_search(ni, random.Random(seed))
+            assert matching is not None
+            assert matching.players() == frozenset(inst.players)
+            repeat, _ = random_search(ni, random.Random(seed))
+            assert repeat == matching
+            differs |= matching != find_perfect_matching(ni).matching
+        assert differs  # the draws leave the first-fit policy's path
 
     def test_random_policy_respects_invariants(self):
         for seed in range(8):
@@ -329,10 +385,10 @@ class TestFindPerfectMatching:
                 report = check_state_invariants(ni, state)
                 assert report.passed, report.violations
 
-            out = find_perfect_matching(ni, rng=random.Random(seed * 31), on_step=audit)
-            assert out.perfect
-            for ext in out.extensions:
-                assert monitor_signatures(ext.signatures, inst.num_players).passed
+            matching, runs = random_search(ni, random.Random(seed * 31), audit)
+            assert matching is not None
+            for signatures in runs:
+                assert monitor_signatures(signatures, inst.num_players).passed
 
 
 class TestCompleteAllocation:
