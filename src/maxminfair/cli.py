@@ -1,10 +1,13 @@
 """Command-line surface: generate, solve, verify, and gap experiments.
 
 Reports go to standard output as JSON; allocations, instances and traces are
-written to files given by flags.  Exit codes are a stable contract for
-scripting: 0 success/allocated, 1 failed verification (or standard output
+written to files given by flags.  `solve` searches for T* only at
+`--target auto`; with an explicit target its report's `t_star` and `ratio`
+are null.  Exit codes are a stable contract for scripting: 0
+success/allocated (and `--help`), 1 failed verification (or standard output
 closed before the report was written, as by `| head`), 2 certified
-infeasible, 3 input error, 4 enumeration budget exceeded.
+infeasible, 3 input error (a malformed command line included), 4 enumeration
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -114,7 +117,10 @@ def solve(instance: Instance, target: Fraction) -> SolveResult:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except ValueError as exc:  # malformed, or an int past the digit limit
+            raise InvalidInstance(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_instance(path: str) -> Instance:
@@ -148,9 +154,9 @@ def cmd_solve(args) -> int:
         raise InvalidTarget(f"target must be non-negative, got {target}")
     if args.budget < 1:
         raise InvalidInstance(f"budget must be at least 1, got {args.budget}")
-    t_star, t_star_info = _resolve_t_star(instance, delta, args.budget)
+    t_star_info = None
     if target is None:
-        target = t_star
+        target, t_star_info = _resolve_t_star(instance, delta, args.budget)
 
     result = solve(instance, target)
     search = result.search
@@ -171,8 +177,8 @@ def cmd_solve(args) -> int:
     ratio = None
     if result.allocation is not None:
         per_player = {p: format_rational(v) for p, v in result.values.items()}
-        if t_star_info["mode"] == "exact" and t_star > 0:
-            ratio = result.min_value / t_star
+        if t_star_info is not None and t_star_info["mode"] == "exact" and target > 0:
+            ratio = result.min_value / target
 
         allocation_json = {
             "target": format_rational(target),
@@ -359,7 +365,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; it exits 0 after --help, else 2.
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except BudgetExceeded as exc:
@@ -370,7 +380,7 @@ def main(argv=None) -> int:
         return EXIT_FAIL
     except BrokenPipeError:
         return EXIT_FAIL  # standard output was closed (`| head`): stop quietly
-    except (MaxMinFairError, OSError, json.JSONDecodeError) as exc:
+    except (MaxMinFairError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -9,6 +9,7 @@ survive floating point.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -26,29 +27,44 @@ from .errors import (
 #: Fraction of the optimal target that every player is guaranteed to receive.
 GUARANTEE_FRACTION = Fraction(6, 23)
 
+#: Most digits a parsed numerator or denominator may have: CPython's default
+#: limit on int-to-string conversion, which `format_rational` relies on (the
+#: limit itself cannot be read before Python 3.10.7).
+MAX_RATIONAL_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_RATIONAL_DIGITS
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)$")
+
 
 def parse_rational(raw) -> Fraction:
     """Parse an exact rational from "p/q" or decimal strings, ints or Fractions.
 
     Floats are rejected: their binary expansion would silently break the exact
-    arithmetic contract.
+    arithmetic contract.  So is any value whose numerator or denominator has
+    more than `MAX_RATIONAL_DIGITS` digits, and a decimal exponent is bounded
+    before `Fraction` computes its power of ten.
     """
-    if isinstance(raw, Fraction):
-        return raw
     if isinstance(raw, bool):
         raise InvalidInstance(f"not a rational value: {raw!r}")
-    if isinstance(raw, int):
-        return Fraction(raw)
     if isinstance(raw, float):
         raise InvalidInstance(
             f"float value {raw!r} is not exact; pass a string like '1/3' or '0.25'"
         )
-    if isinstance(raw, str):
+    if isinstance(raw, (Fraction, int)):
+        value = Fraction(raw)
+    elif isinstance(raw, str):
+        text = raw.strip()
+        exponent = _EXPONENT.search(text)
         try:
-            return Fraction(raw.strip())
+            if exponent and int(exponent[1].replace("_", "")) > MAX_RATIONAL_DIGITS:
+                raise ValueError("decimal exponent out of bounds")
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInstance(f"cannot parse rational from {raw!r}") from exc
-    raise InvalidInstance(f"cannot parse rational from {raw!r}")
+    else:
+        raise InvalidInstance(f"cannot parse rational from {raw!r}")
+    if abs(value.numerator) >= _DIGIT_BOUND or value.denominator >= _DIGIT_BOUND:
+        raise InvalidInstance(f"rational has more than {MAX_RATIONAL_DIGITS} digits")
+    return value
 
 
 def format_rational(q: Fraction) -> str:

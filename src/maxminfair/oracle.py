@@ -17,12 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, NotAPartition, VerificationFailed
 from .instances import Instance, NormalizedInstance, bundle_value
-from .matching import (
-    INFINITY,
-    SearchState,
-    edge_in_hypergraph,
-    is_minimal_thin_edge,
-)
+from .matching import INFINITY, SearchState, edge_in_hypergraph
 from .simplex import LinearProgram, solve_lp, verify_outcome
 
 _ZERO = Fraction(0)
@@ -210,9 +205,10 @@ def check_state_invariants(
 
     Covers the three structural invariants of the blocker sequence (disjoint
     candidate resources; blocking sets exact; blocking sets mutually disjoint
-    within the matching), matching validity, edge well-formedness including
-    thin minimality, agreement of the incremental covered/active fields with
-    recomputation, and uniqueness of each active player's activator.
+    within the matching), matching validity, edge well-formedness (for a
+    thin edge, its minimality), agreement of the incremental covered/active
+    fields with recomputation, and uniqueness of each active player's
+    activator.
     """
     violations: list[Violation] = []
 
@@ -240,10 +236,6 @@ def check_state_invariants(
     for i, b in enumerate(blockers):
         if not edge_in_hypergraph(ni, b.candidate):
             bad("edge-valid", f"candidate of blocker {i} is invalid", i)
-        if b.candidate.kind == "thin" and not is_minimal_thin_edge(
-            ni, b.candidate.player, b.candidate.bundle
-        ):
-            bad("thin-minimal", f"candidate of blocker {i} is not minimal", i)
 
     for i, j in combinations(range(len(blockers)), 2):
         if blockers[i].candidate.bundle & blockers[j].candidate.bundle:

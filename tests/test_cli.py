@@ -190,6 +190,38 @@ class TestSolve:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("input error:")
 
+    def test_explicit_target_skips_the_t_star_search(
+        self, monkeypatch, capsys, tmp_path, shared_single
+    ):
+        def unreachable(*args, **kwargs):
+            pytest.fail("the T* search ran although the target was given")
+
+        monkeypatch.setattr(cli, "compute_T_star", unreachable)
+        monkeypatch.setattr(cli, "bracket_T_star", unreachable)
+        inst_path = write_instance(tmp_path, shared_single)
+        code, report = run_cli(capsys, "solve", "--instance", inst_path, "--target", "1")
+        assert code == EXIT_INFEASIBLE
+        assert report["certificate"]["objective"] == "15/23"
+        assert report["t_star"] is None and report["ratio"] is None
+        code, report = run_cli(capsys, "solve", "--instance", inst_path, "--target", "0")
+        assert code == EXIT_OK
+        assert report["t_star"] is None and report["ratio"] is None
+
+    def test_hostile_rationals_are_input_errors(self, capsys, tmp_path, two_fat):
+        inst_path = write_instance(tmp_path, two_fat)
+        payload = two_fat.to_json_dict()
+        payload["resources"][0]["value"] = "1e5000"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["solve", "--instance", str(bad)]) == EXIT_INPUT
+        # An integer literal past the int-to-string limit fails in the JSON
+        # parser itself.
+        bad.write_text(json.dumps(payload).replace('"1e5000"', "1" + "0" * 5000))
+        assert main(["solve", "--instance", str(bad)]) == EXIT_INPUT
+        argv = ["solve", "--instance", inst_path, "--target", "1e100000000"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().out == ""
+
     def test_bracket_fallback_on_tiny_budget(self, capsys, tmp_path, ten_thin):
         inst_path = write_instance(tmp_path, ten_thin)
         code, report = run_cli(
@@ -412,6 +444,27 @@ class TestGap:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["solve", "--instance", "instance.json", "--budget", "abc"],
+        ["gen", "--kind", "nope", "--players", "2", "--resources", "3"],
+    ],
+    ids=["missing-instance", "budget-not-int", "unknown-kind"],
+)
+def test_usage_errors_are_input_errors(capsys, argv):
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_help_exits_ok(capsys):
+    assert main(["solve", "--help"]) == EXIT_OK
+    assert "--instance" in capsys.readouterr().out
 
 
 def test_closed_stdout_exits_quietly(monkeypatch, capsys, tmp_path, two_fat):

@@ -49,6 +49,15 @@ class TestParseRational:
         with pytest.raises(InvalidInstance):
             parse_rational("pizza")
 
+    def test_digit_bound(self):
+        # 10**4299 has 4300 digits, the most a numerator or denominator may
+        # have; the exponent of a decimal is bounded before it is expanded.
+        assert parse_rational("1e4299") == 10**4299
+        assert parse_rational("1e-4299") == Fraction(1, 10**4299)
+        for raw in ("1e4300", "1e-4300", "1e5000", "1e100000000", 10**4300):
+            with pytest.raises(InvalidInstance):
+                parse_rational(raw)
+
     def test_format_round_trip(self):
         for q in (Fraction(3, 7), Fraction(-2), Fraction(0), Fraction(15, 23)):
             assert parse_rational(format_rational(q)) == q

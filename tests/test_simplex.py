@@ -1,21 +1,21 @@
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxminfair import LinearProgram, solve_lp, verify_outcome
 from maxminfair.errors import DimensionMismatch
-from maxminfair.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
+from maxminfair.simplex import OPTIMAL, UNBOUNDED
 
 F = Fraction
 
 
 # ---------------------------------------------------------------------------
 # Independent oracle: vertex enumeration.  With x >= 0 the feasible region is
-# pointed, so it is non-empty iff some basic solution is feasible, a finite
-# minimum is attained at a vertex, and unboundedness is witnessed by a vertex
-# of the normalized recession cone with negative cost.
+# pointed, so a finite minimum is attained at a vertex, and unboundedness is
+# witnessed by a vertex of the normalized recession cone with negative cost.
 # ---------------------------------------------------------------------------
 
 
@@ -70,12 +70,10 @@ def _vertices(rows, n):
 def brute_force_lp(lp: LinearProgram):
     """(status, objective or None) by pure enumeration."""
     n = lp.num_vars
-    minimize = lp.sense == "min"
-    cost = [c if minimize else -c for c in lp.objective]
+    cost = lp.objective
 
     points = _vertices(lp.rows, n)
-    if not points:
-        return INFEASIBLE, None
+    assert points, "the solver accepts only LPs feasible at their start"
 
     # Recession directions with negative cost witness unboundedness.
     hom = [(coeffs, rel, F(0)) for coeffs, rel, _ in lp.rows]
@@ -84,8 +82,7 @@ def brute_force_lp(lp: LinearProgram):
         if sum(c * x for c, x in zip(cost, d)) < 0:
             return UNBOUNDED, None
 
-    best = min(sum(c * x for c, x in zip(cost, p)) for p in points)
-    return OPTIMAL, best if minimize else -best
+    return OPTIMAL, min(sum(c * x for c, x in zip(cost, p)) for p in points)
 
 
 # ---------------------------------------------------------------------------
@@ -94,44 +91,41 @@ def brute_force_lp(lp: LinearProgram):
 
 
 def test_single_binding_constraint():
-    lp = LinearProgram.minimize([1], [([F(1)], ">=", F(3, 2))])
-    out = solve_lp(lp)
-    assert out.status == OPTIMAL
-    assert out.primal == (F(3, 2),)
-    assert out.objective == F(3, 2)
-    assert verify_outcome(lp, out) == []
+    # x >= 3/2 scales to 2x >= 3, which has no unit column to start from.
+    with pytest.raises(ValueError, match="no unit column"):
+        solve_lp(LinearProgram.minimize([1], [([F(1)], ">=", F(3, 2))]))
 
 
 def test_symmetric_face():
-    lp = LinearProgram.maximize([1, 1], [([F(1), F(1)], "<=", F(1))])
+    lp = LinearProgram.minimize([-1, -1], [([F(1), F(1)], "<=", F(1))])
     out = solve_lp(lp)
     assert out.status == OPTIMAL
-    assert out.objective == 1
+    assert out.objective == -1
     assert verify_outcome(lp, out) == []
 
 
-def test_contradictory_bounds_infeasible():
+def test_contradictory_bounds_rejected():
     lp = LinearProgram.minimize([0], [([F(1)], "<=", F(-1))])
-    assert solve_lp(lp).status == INFEASIBLE
+    with pytest.raises(ValueError, match="negative right-hand side"):
+        solve_lp(lp)
 
 
 def test_unbounded():
-    lp = LinearProgram.maximize([1], [([F(-1)], "<=", F(1))])
+    lp = LinearProgram.minimize([-1], [([F(-1)], "<=", F(1))])
     assert solve_lp(lp).status == UNBOUNDED
 
 
 def test_equality_rows_and_negative_rhs():
-    lp = LinearProgram.minimize(
-        [2, 3],
-        [
-            ([F(1), F(1)], "=", F(4)),
-            ([F(-1), F(0)], "<=", F(-1)),  # i.e. x0 >= 1
-        ],
-    )
-    out = solve_lp(lp)
-    assert out.status == OPTIMAL
-    assert out.objective == F(2) * 4  # all weight on the cheaper variable
-    assert verify_outcome(lp, out) == []
+    with pytest.raises(ValueError, match="unknown relation"):
+        LinearProgram.minimize([2, 3], [([F(1), F(1)], "=", F(4))])
+    # Built by hand, past `minimize`'s check, an "=" row still fails before
+    # any pivot.
+    lp = LinearProgram(objective=(F(2), F(3)), rows=(((F(1), F(1)), "=", F(4)),))
+    with pytest.raises(ValueError, match="relation '='"):
+        solve_lp(lp)
+    lp = LinearProgram.minimize([2, 3], [([F(-1), F(0)], "<=", F(-1))])
+    with pytest.raises(ValueError, match="negative right-hand side"):
+        solve_lp(lp)
 
 
 def test_dimension_mismatch():
@@ -140,8 +134,8 @@ def test_dimension_mismatch():
 
 
 def test_determinism():
-    lp = LinearProgram.maximize(
-        [3, 1, 2],
+    lp = LinearProgram.minimize(
+        [-3, -1, -2],
         [
             ([F(1), F(1), F(3)], "<=", F(30)),
             ([F(2), F(2), F(5)], "<=", F(24)),
@@ -161,19 +155,33 @@ def test_determinism():
 entries = st.integers(min_value=-3, max_value=3)
 
 
-@st.composite
-def small_lps(draw):
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 6))
-    sense = draw(st.sampled_from(["min", "max"]))
-    objective = [F(draw(entries)) for _ in range(n)]
+def _start_feasible(draw, n, m, entry, rhs_entry):
+    """A minimization the solver accepts: "<=" rows with b >= 0, and ">="
+    rows that each get a column of their own, equal to 1 over the row's
+    scale so that it is the row's unit vector once the row is scaled."""
+    objective = [draw(entry) for _ in range(n)]
     rows = []
     for _ in range(m):
-        coeffs = [F(draw(entries)) for _ in range(n)]
-        rel = draw(st.sampled_from(["<=", ">=", "="]))
-        rhs = F(draw(entries))
-        rows.append((coeffs, rel, rhs))
-    return LinearProgram.build(sense, objective, rows)
+        coeffs = [draw(entry) for _ in range(n)]
+        rows.append((coeffs, draw(st.sampled_from(["<=", ">="])), draw(rhs_entry)))
+    for i, (coeffs, rel, rhs) in enumerate(rows):
+        if rel == ">=":
+            scale = lcm(*(v.denominator for v in (*coeffs, rhs)))
+            for k, (other, _, _) in enumerate(rows):
+                other.append(F(1, scale) if k == i else F(0))
+            objective.append(draw(entry))
+    return LinearProgram.minimize(objective, rows)
+
+
+@st.composite
+def small_lps(draw):
+    return _start_feasible(
+        draw,
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 4)),
+        entries.map(F),
+        st.integers(0, 3).map(F),
+    )
 
 
 @settings(max_examples=120, deadline=None)
@@ -197,7 +205,7 @@ def test_optimal_outcomes_verify_and_repeat(lp):
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free engine: row and cost scaling, crash basis, phase 1.
+# Fraction-free engine: row and cost scaling, and the starting basis.
 # ---------------------------------------------------------------------------
 
 rational_entries = st.builds(
@@ -207,16 +215,13 @@ rational_entries = st.builds(
 
 @st.composite
 def small_rational_lps(draw):
-    n = draw(st.integers(1, 5))
-    m = draw(st.integers(1, 5))
-    sense = draw(st.sampled_from(["min", "max"]))
-    objective = [draw(rational_entries) for _ in range(n)]
-    rows = []
-    for _ in range(m):
-        coeffs = [draw(rational_entries) for _ in range(n)]
-        rel = draw(st.sampled_from(["<=", ">=", "="]))
-        rows.append((coeffs, rel, draw(rational_entries)))
-    return LinearProgram.build(sense, objective, rows)
+    return _start_feasible(
+        draw,
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 4)),
+        rational_entries,
+        st.builds(F, st.integers(0, 3), st.integers(1, 4)),
+    )
 
 
 @settings(max_examples=120, deadline=None)
@@ -233,7 +238,7 @@ def test_rational_lps_agree_with_vertex_enumeration(lp):
 def test_crash_on_scaled_structural_unit_column():
     # x0 is the unit column of row 0 once that row is scaled by 2, and x1 is
     # the unit column of row 1, so both ">=" rows start with a basic
-    # structural column and phase 1 has nothing to do.
+    # structural column.
     lp = LinearProgram.minimize(
         [2, 2, 3],
         [
@@ -249,17 +254,23 @@ def test_crash_on_scaled_structural_unit_column():
     assert verify_outcome(lp, out) == []
 
 
-def test_equality_rows_without_unit_columns_need_full_phase_one():
+def test_equality_rows_without_unit_columns_rejected():
+    lp = LinearProgram(
+        objective=(F(1), F(2), F(1)),
+        rows=(
+            ((F(1), F(1), F(2)), "=", F(4)),
+            ((F(1), F(-1), F(1)), "=", F(1)),
+        ),
+    )
+    with pytest.raises(ValueError):
+        solve_lp(lp)
+    # As ">=" rows they still have no column of their own to start from.
     lp = LinearProgram.minimize(
         [1, 2, 1],
         [
-            ([F(1), F(1), F(2)], "=", F(4)),
-            ([F(1), F(-1), F(1)], "=", F(1)),
+            ([F(1), F(1), F(2)], ">=", F(4)),
+            ([F(1), F(-1), F(1)], ">=", F(1)),
         ],
     )
-    out = solve_lp(lp)
-    assert out.status == OPTIMAL
-    assert out.primal == (F(0), F(2, 3), F(5, 3))
-    assert out.objective == 3
-    assert out.dual == (F(1), F(-1))
-    assert verify_outcome(lp, out) == []
+    with pytest.raises(ValueError, match="no unit column"):
+        solve_lp(lp)
