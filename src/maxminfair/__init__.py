@@ -18,7 +18,6 @@ from .instances import (
     parse_rational,
     validate_instance,
 )
-from .simplex import LinearProgram, LpOutcome, solve_lp, verify_outcome
 from .configlp import (
     ClpVerdict,
     ConfigColumn,
@@ -68,10 +67,6 @@ __all__ = [
     "normalize",
     "parse_rational",
     "validate_instance",
-    "LinearProgram",
-    "LpOutcome",
-    "solve_lp",
-    "verify_outcome",
     "ClpVerdict",
     "ConfigColumn",
     "clp_feasible",

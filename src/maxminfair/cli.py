@@ -4,10 +4,11 @@ Reports go to standard output as JSON; allocations, instances and traces are
 written to files given by flags.  `solve` searches for T* only at
 `--target auto`; with an explicit target its report's `t_star` and `ratio`
 are null.  Exit codes are a stable contract for scripting: 0
-success/allocated (and `--help`), 1 failed verification (or standard output
-closed before the report was written, as by `| head`), 2 certified
-infeasible, 3 input error (a malformed command line included), 4 enumeration
-budget exceeded.
+success/allocated (and `--help`), 1 failed verification (a solver fault is
+reported by `main` alone, as `internal error:`; or standard output closed
+before the report was written, as by `| head`), 2 certified infeasible, 3
+input error (a malformed command line or too deeply nested JSON included),
+4 budget exceeded (an enumeration, or a reported value past 4300 digits).
 """
 
 from __future__ import annotations
@@ -76,16 +77,6 @@ class SolveResult:
     def outcome(self) -> str:
         return ALLOCATED if self.allocation is not None else CERTIFIED_INFEASIBLE
 
-    @property
-    def certified(self) -> bool:
-        """Whether both checks of the certificate passed."""
-        cert = self.certificate
-        return (
-            cert is not None
-            and cert["feasibility_check"]["passed"]
-            and cert["balance_check"]["passed"]
-        )
-
 
 def solve(instance: Instance, target: Fraction) -> SolveResult:
     """Allocate at `target`, or certify that the search cannot.
@@ -93,7 +84,8 @@ def solve(instance: Instance, target: Fraction) -> SolveResult:
     At target 0 the leftover rule hands out every resource.  Otherwise the
     search runs on the instance normalized at `target`; a perfect matching is
     completed into an allocation, and a halted search yields a dual
-    certificate whose feasibility and blocker balances are both re-checked.
+    certificate whose feasibility and blocker balances are both re-checked;
+    a failed check raises `VerificationFailed` with its first failure.
     """
     target = Fraction(target)
     search = None
@@ -105,6 +97,9 @@ def solve(instance: Instance, target: Fraction) -> SolveResult:
             cert = construct_dual_certificate(ni, search.state)
             feasibility = verify_certificate_feasibility(ni, cert)
             balances = check_blocker_balances(ni, search.state, cert)
+            failures = feasibility.failures + balances.failures
+            if failures:
+                raise VerificationFailed(f"certificate check failed: {failures[0]}")
             certificate = cert.to_json_dict()
             certificate["feasibility_check"] = feasibility.to_json_dict()
             certificate["balance_check"] = balances.to_json_dict()
@@ -119,7 +114,7 @@ def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except ValueError as exc:  # malformed, or an int past the digit limit
+        except (ValueError, RecursionError) as exc:  # malformed, or too big or deep
             raise InvalidInstance(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -131,7 +126,6 @@ def _resolve_t_star(instance: Instance, delta: Fraction, budget: int):
     """Exact optimal target when the breakpoint budget allows, else a bracket."""
     try:
         t_star = compute_T_star(instance, budget=budget)
-        return t_star, {"mode": "exact", "value": format_rational(t_star)}
     except BudgetExceeded:
         lo = bracket_T_star(instance, delta)
         return lo, {
@@ -139,6 +133,7 @@ def _resolve_t_star(instance: Instance, delta: Fraction, budget: int):
             "feasible": format_rational(lo),
             "infeasible_beyond": format_rational(lo + delta),
         }
+    return t_star, {"mode": "exact", "value": format_rational(t_star)}
 
 
 def cmd_solve(args) -> int:
@@ -160,9 +155,6 @@ def cmd_solve(args) -> int:
 
     result = solve(instance, target)
     search = result.search
-    if result.certificate is not None and not result.certified:
-        print("internal error: certificate failed verification", file=sys.stderr)
-        return EXIT_FAIL
 
     if args.trace:
         extensions = () if search is None else search.extensions
@@ -197,12 +189,9 @@ def cmd_solve(args) -> int:
         # Self-audit: re-verify the emitted allocation before reporting.
         audited = verify_allocation(instance, emitted)
         if audited < GUARANTEE_FRACTION * target:
-            print(
-                f"internal error: allocation audit {audited} below the "
-                f"guarantee at target {target}",
-                file=sys.stderr,
+            raise VerificationFailed(
+                f"allocation audit {audited} below the guarantee at target {target}"
             )
-            return EXIT_FAIL
 
     report = {
         "players": instance.num_players,
@@ -251,12 +240,9 @@ def cmd_gap(args) -> int:
         if t_star > 0:
             result = solve(instance, t_star)
             if result.allocation is None:
-                print(
-                    f"internal error: search halted at T* = {t_star} "
-                    f"on trial {trial}",
-                    file=sys.stderr,
+                raise VerificationFailed(
+                    f"search halted at T* = {t_star} on trial {trial}"
                 )
-                return EXIT_FAIL
             min_value = result.min_value
             ratio = min_value / t_star
         degenerate = opt == 0

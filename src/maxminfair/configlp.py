@@ -217,18 +217,17 @@ def _master_lp(
     """Phase-1 master: minimize total shortfall, one unit slack per player."""
     m = len(instance.players)
     width = len(pool) + m
-    one = Fraction(1)
-    objective = [_ZERO] * len(pool) + [one] * m
-    player_rows = [[_ZERO] * width for _ in instance.players]
-    resource_rows = [[_ZERO] * width for _ in instance.resources]
+    objective = [0] * len(pool) + [1] * m
+    player_rows = [[0] * width for _ in instance.players]
+    resource_rows = [[0] * width for _ in instance.resources]
     for j, col in enumerate(pool):
-        player_rows[instance.player_index(col.player)][j] = one
+        player_rows[instance.player_index(col.player)][j] = 1
         for r in col.bundle:
-            resource_rows[instance.resource_index(r)][j] = one
+            resource_rows[instance.resource_index(r)][j] = 1
     for pi, row in enumerate(player_rows):
-        row[len(pool) + pi] = one
-    rows = [(row, ">=", one) for row in player_rows]
-    rows += [(row, "<=", one) for row in resource_rows]
+        row[len(pool) + pi] = 1
+    rows = [(row, ">=", 1) for row in player_rows]
+    rows += [(row, "<=", 1) for row in resource_rows]
     return LinearProgram.minimize(objective, rows)
 
 

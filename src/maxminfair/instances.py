@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import (
+    BudgetExceeded,
     DuplicateId,
     EmptyPlayers,
     InvalidInstance,
@@ -27,9 +28,9 @@ from .errors import (
 #: Fraction of the optimal target that every player is guaranteed to receive.
 GUARANTEE_FRACTION = Fraction(6, 23)
 
-#: Most digits a parsed numerator or denominator may have: CPython's default
-#: limit on int-to-string conversion, which `format_rational` relies on (the
-#: limit itself cannot be read before Python 3.10.7).
+#: Most digits a parsed or formatted numerator or denominator may have:
+#: CPython's default limit on int-to-string conversion (the limit itself
+#: cannot be read before Python 3.10.7).
 MAX_RATIONAL_DIGITS = 4300
 _DIGIT_BOUND = 10**MAX_RATIONAL_DIGITS
 _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)$")
@@ -68,8 +69,13 @@ def parse_rational(raw) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Render a Fraction as "p/q" (or "p" for integers) for bit-exact files."""
+    """Render a Fraction as "p/q" (or "p" for integers) for bit-exact files.
+
+    A derived value past `MAX_RATIONAL_DIGITS` digits raises `BudgetExceeded`.
+    """
     q = Fraction(q)
+    if abs(q.numerator) >= _DIGIT_BOUND or q.denominator >= _DIGIT_BOUND:
+        raise BudgetExceeded(f"value has more than {MAX_RATIONAL_DIGITS} digits")
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

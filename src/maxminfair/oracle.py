@@ -148,14 +148,14 @@ def enumerated_clp_feasible(instance: Instance, target: Fraction) -> bool:
         columns.extend((p, s) for s in mins)
     rows = []
     for pi, p in enumerate(instance.players):
-        coeffs = [Fraction(1 if cp == p else 0) for cp, _ in columns]
-        coeffs += [Fraction(int(k == pi)) for k in range(instance.num_players)]
-        rows.append((coeffs, ">=", Fraction(1)))
+        coeffs = [int(cp == p) for cp, _ in columns]
+        coeffs += [int(k == pi) for k in range(instance.num_players)]
+        rows.append((coeffs, ">=", 1))
     for r in instance.resources:
-        coeffs = [Fraction(1 if r in s else 0) for _, s in columns]
-        coeffs += [_ZERO] * instance.num_players
-        rows.append((coeffs, "<=", Fraction(1)))
-    objective = [_ZERO] * len(columns) + [Fraction(1)] * instance.num_players
+        coeffs = [int(r in s) for _, s in columns]
+        coeffs += [0] * instance.num_players
+        rows.append((coeffs, "<=", 1))
+    objective = [0] * len(columns) + [1] * instance.num_players
     lp = LinearProgram.minimize(objective, rows)
     out = solve_lp(lp)
     problems = verify_outcome(lp, out)

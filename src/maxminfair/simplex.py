@@ -1,19 +1,20 @@
-"""Self-contained exact linear programming over rationals.
+"""Self-contained exact linear programming over integer data.
 
 One LP shape, the one the package poses: minimize objective . x over x >= 0
-subject to rows a . x <= b or a . x >= b with every b >= 0, where each ">="
-row has a column of its own (a shortfall column, say) that is its unit vector
-once the row is scaled to integers.  The primal simplex then runs as a single
-phase from a feasible start: each "<=" row's slack and each ">=" row's unit
-column.  Any other shape raises `ValueError` before the first pivot.
+subject to integer rows a . x <= b or a . x >= b with every b >= 0, where
+each ">=" row has a column of its own (a shortfall column, say) that is its
+unit vector.  The primal simplex then runs as a single phase from a feasible
+start: each "<=" row's slack and each ">=" row's unit column.  Building a
+`LinearProgram` rejects a non-int entry or any other shape, and `solve_lp`
+rejects a ">=" row without a unit column before the first pivot.
 
-Bland's pivot rule makes every solve terminate and be deterministic.  Rows
-and objective are scaled to integers, and the tableau is fraction-free:
-Python ints over one common denominator, updated by integer-preserving
-(Bareiss) pivots whose divisions are all exact.  Optimal outcomes carry exact
-primal and dual solutions as Fractions; `verify_outcome` re-checks them from
-scratch with plain Fraction arithmetic (feasibility, dual feasibility, equal
-objectives, complementary slackness) without trusting the solver.
+Bland's pivot rule makes every solve terminate and be deterministic.  The
+tableau is fraction-free: Python ints over one common denominator, updated
+by integer-preserving (Bareiss) pivots whose divisions are all exact.
+Optimal outcomes carry exact primal and dual solutions as Fractions;
+`verify_outcome` re-checks them from scratch with plain Fraction arithmetic
+(feasibility, dual feasibility, equal objectives, complementary slackness)
+without trusting the solver.
 
 Scale note: instances in this package have a handful of rows and at most a
 few thousand columns, where exact dense pivoting is entirely adequate.
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .errors import DimensionMismatch
@@ -36,34 +36,44 @@ UNBOUNDED = "unbounded"
 _ZERO = Fraction(0)
 
 
-def _fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _require_ints(*values) -> None:
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"LP entry {v!r} is not an int")
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min of objective . x subject to rows, with every x_j >= 0."""
+    """min of objective . x subject to rows, with every x_j >= 0.
 
-    objective: tuple[Fraction, ...]
-    rows: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
+    Construction checks the shape: every entry an `int` (else `TypeError`),
+    every row as wide as the objective (else `DimensionMismatch`), and every
+    relation "<=" or ">=" with a non-negative right-hand side (else
+    `ValueError`).
+    """
+
+    objective: tuple[int, ...]
+    rows: tuple[tuple[tuple[int, ...], str, int], ...]
+
+    def __post_init__(self):
+        _require_ints(*self.objective)
+        n = len(self.objective)
+        for i, (coeffs, rel, rhs) in enumerate(self.rows):
+            _require_ints(*coeffs, rhs)
+            if len(coeffs) != n:
+                raise DimensionMismatch(f"row {i} width {len(coeffs)} != {n}")
+            if rel not in RELATIONS:
+                raise ValueError(f"row {i} has relation {rel!r}, not '<=' or '>='")
+            if rhs < 0:
+                raise ValueError(f"row {i} has a negative right-hand side {rhs}")
 
     @classmethod
     def minimize(cls, objective, rows) -> "LinearProgram":
         # tuple() of a list allocates the exact size; of a generator it
         # resizes, which leaves the freed tuples parked in the interpreter's
         # per-size free lists until a full garbage collection.
-        obj = tuple([_fraction(c) for c in objective])
-        packed = []
-        for coeffs, rel, rhs in rows:
-            coeffs = tuple([_fraction(c) for c in coeffs])
-            if len(coeffs) != len(obj):
-                raise DimensionMismatch(
-                    f"row width {len(coeffs)} != objective width {len(obj)}"
-                )
-            if rel not in RELATIONS:
-                raise ValueError(f"unknown relation {rel!r}")
-            packed.append((coeffs, rel, _fraction(rhs)))
-        return cls(objective=obj, rows=tuple(packed))
+        packed = [(tuple([*coeffs]), rel, rhs) for coeffs, rel, rhs in rows]
+        return cls(objective=tuple([*objective]), rows=tuple(packed))
 
     @property
     def num_vars(self) -> int:
@@ -88,29 +98,13 @@ class LpOutcome:
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Exact optimum with primal and dual solutions, or Unbounded.
 
-    Raises `ValueError` when the LP is not of the one accepted shape (see the
-    module docstring).
+    Runs on the LP's integers as given.  Raises `ValueError` before the first
+    pivot when a ">=" row has no unit column: a coefficient of exactly 1 that
+    is the only nonzero in its column.
     """
     n = lp.num_vars
     m = len(lp.rows)
-    cost_scale, cost = _to_integers(lp.objective)
-
-    # Scale each row to integers, recording its scale so the duals can be
-    # mapped back to the rows as stated.
-    scales = []
-    int_rows: list[tuple[list[int], str, int]] = []
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        if len(coeffs) != n:
-            raise DimensionMismatch(f"row {i} width {len(coeffs)} != {n}")
-        if rhs < 0:
-            raise ValueError(f"row {i} has a negative right-hand side {rhs}")
-        scale, values = _to_integers([*coeffs, rhs])
-        scales.append(scale)
-        int_rows.append((values[:n], rel, values[n]))
-
-    nonzeros = [0] * n
-    for coeffs, _, _ in int_rows:
-        nonzeros = [k + (a != 0) for k, a in zip(nonzeros, coeffs)]
+    nonzeros = [len(col) - col.count(0) for col in zip(*[c for c, _, _ in lp.rows])]
 
     # Standard form: one slack (for "<=") or surplus (for ">=") column per
     # row.  Starting basis: a "<=" row's slack, a ">=" row's structural unit
@@ -118,26 +112,20 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     total = n + m
     tableau: list[list[int]] = []
     basis: list[int] = []
-    for i, (coeffs, rel, rhs) in enumerate(int_rows):
-        row = coeffs + [0] * m + [rhs]
-        if rel == "<=":
-            row[n + i] = 1
-            basis.append(n + i)
-        elif rel == ">=":
-            row[n + i] = -1
-            start = next(
-                (j for j, a in enumerate(coeffs) if a == 1 and nonzeros[j] == 1), -1
-            )
-            if start < 0:
-                raise ValueError(f"'>=' row {i} has no unit column to start from")
-            basis.append(start)
-        else:
-            raise ValueError(f"row {i} has relation {rel!r}, not '<=' or '>='")
+    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
+        row = list(coeffs) + [0] * m + [rhs]
+        row[n + i] = 1 if rel == "<=" else -1
         tableau.append(row)
+        start = n + i if rel == "<=" else next(
+            (j for j, a in enumerate(coeffs) if a == 1 and nonzeros[j] == 1), -1
+        )
+        if start < 0:
+            raise ValueError(f"'>=' row {i} has no unit column to start from")
+        basis.append(start)
     starts = tuple(basis)
 
     # Row m is the reduced-cost row; every row is d times its rational value.
-    full_cost = cost + [0] * m
+    full_cost = list(lp.objective) + [0] * m
     red = full_cost + [0]
     for k, bi in enumerate(basis):
         cb = full_cost[bi]
@@ -184,24 +172,15 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     for k, bi in enumerate(basis):
         if bi < n:
             primal[bi] = Fraction(tableau[k][total], d)
-    objective = Fraction(-red[total], d * cost_scale)
+    objective = Fraction(-red[total], d)
 
     # Duals: c_B . B^{-1} e_i.  Each row's starting column was e_i, and every
     # pivot has treated it as it would e_i, so y_i is that column's cost
-    # minus its reduced cost; then undo the row and cost scales.
-    dual = tuple([
-        Fraction((d * full_cost[s] - red[s]) * scale, d * cost_scale)
-        for s, scale in zip(starts, scales)
-    ])
+    # minus its reduced cost.
+    dual = tuple([Fraction(d * full_cost[s] - red[s], d) for s in starts])
     return LpOutcome(
         status=OPTIMAL, primal=tuple(primal), dual=dual, objective=objective
     )
-
-
-def _to_integers(values) -> tuple[int, list[int]]:
-    """(s, s * values) with s the least common multiple of the denominators."""
-    s = lcm(*{v.denominator for v in values})
-    return s, [v.numerator * (s // v.denominator) for v in values]
 
 
 def verify_outcome(lp: LinearProgram, outcome: LpOutcome) -> list[str]:

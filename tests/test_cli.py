@@ -18,6 +18,7 @@ from maxminfair import (
     generate_instance,
     validate_instance,
 )
+from maxminfair.certificates import BalanceReport
 from maxminfair.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -28,6 +29,7 @@ from maxminfair.cli import (
     main,
     solve,
 )
+from maxminfair.errors import VerificationFailed
 
 from conftest import make_instance, zero_outcome
 
@@ -154,6 +156,42 @@ class TestSolve:
         code = main(["solve", "--instance", write_instance(tmp_path, two_fat)])
         assert code == EXIT_FAIL
         assert capsys.readouterr().err.startswith("internal error:")
+
+    def test_failed_certificate_is_internal_error(
+        self, monkeypatch, capsys, tmp_path, shared_single
+    ):
+        failing = BalanceReport(
+            passed=False, balances=(), objective=F(0), failures=("forced failure",)
+        )
+        monkeypatch.setattr(cli, "check_blocker_balances", lambda *args: failing)
+        argv = ["solve", "--instance", write_instance(tmp_path, shared_single)]
+        assert main([*argv, "--target", "1"]) == EXIT_FAIL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:")
+        assert "forced failure" in captured.err
+        with pytest.raises(VerificationFailed, match="forced failure"):
+            solve(shared_single, F(1))
+
+    def test_oversized_derived_value_is_a_budget_error(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        # Every value is within the parse bound, but T* has a denominator of
+        # about 5,000 digits, past the bound that formatting enforces.
+        def unreachable(*args, **kwargs):
+            pytest.fail("a formatting error started the bracket search")
+
+        monkeypatch.setattr(cli, "bracket_T_star", unreachable)
+        denominators = [2**3300, 3**2090, 5**1430, 7**1180, 11**960]
+        inst = make_instance(
+            {f"r{k}": f"1/{q}" for k, q in enumerate(denominators)},
+            {"p": [f"r{k}" for k in range(len(denominators))]},
+        )
+        code = main(["solve", "--instance", write_instance(tmp_path, inst)])
+        assert code == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget error:")
 
     def test_wrong_shape_instance(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -314,7 +352,8 @@ class TestSolveLibrary:
         assert code == (EXIT_OK if outcome == "Allocated" else EXIT_INFEASIBLE)
         if result.allocation is None:
             assert result.values is None and result.min_value is None
-            assert result.certified
+            assert result.certificate["feasibility_check"]["passed"]
+            assert result.certificate["balance_check"]["passed"]
             assert result.certificate == report["certificate"]
         else:
             assert result.certificate is None and report["certificate"] is None
@@ -444,6 +483,21 @@ class TestGap:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error:")
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, two_fat, command):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000 + "]" * 200_000)
+    if command == "solve":
+        argv = ["solve", "--instance", str(nested)]
+    else:
+        inst_path = write_instance(tmp_path, two_fat)
+        argv = ["verify", "--instance", inst_path, "--allocation", str(nested)]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from maxminfair import (
     validate_instance,
 )
 from maxminfair.errors import (
+    BudgetExceeded,
     DuplicateId,
     EmptyPlayers,
     InvalidInstance,
@@ -57,6 +58,11 @@ class TestParseRational:
         for raw in ("1e4300", "1e-4300", "1e5000", "1e100000000", 10**4300):
             with pytest.raises(InvalidInstance):
                 parse_rational(raw)
+        # Formatting enforces the same bound on derived values.
+        assert format_rational(Fraction(1, 10**4300 - 1)) == f"1/{10**4300 - 1}"
+        for q in (Fraction(10**4300), Fraction(1, 10**4300), Fraction(-(10**4300), 3)):
+            with pytest.raises(BudgetExceeded):
+                format_rational(q)
 
     def test_format_round_trip(self):
         for q in (Fraction(3, 7), Fraction(-2), Fraction(0), Fraction(15, 23)):
