@@ -313,7 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--instance", required=True, help="instance JSON path")
     solve.add_argument("--target", default="auto", help="'auto' or an exact rational")
     solve.add_argument("--delta", default="1/1000", help="bracket width for oversized instances")
-    solve.add_argument("--budget", type=int, default=DEFAULT_BREAKPOINT_BUDGET)
+    solve.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_BREAKPOINT_BUDGET,
+        help="cap on the per-player subset sums, summed over players, "
+        "before T* falls back to a --delta bracket",
+    )
     solve.add_argument("--trace", default=None, help="write step trace lines here")
     solve.add_argument("--out", default=None, help="write the allocation JSON here")
     solve.set_defaults(func=cmd_solve)
@@ -332,7 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     gap.add_argument("--resources", type=int, required=True)
     gap.add_argument("--trials", type=int, default=10)
     gap.add_argument("--seed", type=int, default=0)
-    gap.add_argument("--budget", type=int, default=DEFAULT_BREAKPOINT_BUDGET)
+    gap.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_BREAKPOINT_BUDGET,
+        help="cap on the per-player subset sums, summed over players; "
+        "a trial past it exits 4",
+    )
     gap.set_defaults(func=cmd_gap)
 
     verify = sub.add_parser("verify", help="check an allocation against a threshold")

@@ -15,8 +15,11 @@ which priced every player at exactly those prices and found nothing cheaper.
 The optimal target T* is the largest T at which CLP(T) is feasible.
 Feasibility only changes when the configuration sets change, i.e. at
 subset-sum values of some player's desired resources, so `compute_T_star`
-binary-searches those breakpoints.  When they exceed the work budget,
-`bracket_T_star` bisects instead and returns T* to a requested accuracy.
+binary-searches those breakpoints.  `subset_sum_breakpoints` adds them as
+Python `int`s over one common denominator, the LCM of the value
+denominators.  When they exceed the work budget (the per-player distinct
+sums, added up over the players), `bracket_T_star` bisects instead and
+returns T* to a requested accuracy.
 """
 
 from __future__ import annotations
@@ -324,22 +327,30 @@ def subset_sum_breakpoints(
 
     Feasibility of CLP(T) is constant between consecutive breakpoints, so the
     optimal target is always one of them.
+
+    The sums are Python `int`s over one common denominator, the LCM of the
+    denominators of the positive values; each point becomes a `Fraction`
+    only on return.  `budget` caps the per-player distinct sums (the empty
+    sum included) added up over the players: it is checked after every
+    desired resource, and `BudgetExceeded` is raised past it.
     """
-    seen: set[Fraction] = set()
+    scale = lcm(*(v.denominator for v in instance.value.values() if v > 0))
+    seen: set[int] = set()
     total = 0
     for p in instance.players:
-        sums = {_ZERO}
+        sums = {0}
         for r in instance.desired_by(p):
             v = instance.value[r]
             if v > 0:
-                sums |= {s + v for s in sums}
+                step = v.numerator * (scale // v.denominator)
+                sums |= {s + step for s in sums}
             if total + len(sums) > budget:
                 raise BudgetExceeded(
                     f"subset-sum breakpoints exceed budget {budget}"
                 )
         total += len(sums)
         seen |= sums
-    return sorted(seen)
+    return [Fraction(s, scale) for s in sorted(seen)]
 
 
 def compute_T_star(

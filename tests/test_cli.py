@@ -521,6 +521,13 @@ def test_help_exits_ok(capsys):
     assert "--instance" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["solve", "gap"])
+def test_budget_help_states_what_it_counts(capsys, command):
+    assert main([command, "--help"]) == EXIT_OK
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "per-player subset sums, summed over players" in help_text
+
+
 def test_closed_stdout_exits_quietly(monkeypatch, capsys, tmp_path, two_fat):
     """A reader that closed the pipe (`solve ... | head`) is not an input error."""
 

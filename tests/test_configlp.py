@@ -1,4 +1,5 @@
 import textwrap
+import time
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -17,6 +18,7 @@ from maxminfair import (
     normalize,
     oracle,
     subset_sum_breakpoints,
+    validate_instance,
 )
 from maxminfair.configlp import FEASIBLE, INFEASIBLE, bracket_T_star
 from maxminfair.errors import (
@@ -215,6 +217,98 @@ class TestClpFeasible:
         assert payload["objective"] == "1"
         assert set(payload["y"]) == {"p1", "p2"}
         assert set(payload["z"]) == {"a", "b"}
+
+
+def enumerate_breakpoints(instance):
+    """Oracle: each player's distinct subset sums, by `itertools.combinations`.
+
+    Returns the sorted union of the sums and the per-player distinct counts
+    added up over the players (the quantity the breakpoint budget caps).
+    """
+    union, count = set(), 0
+    for p in instance.players:
+        values = [instance.value[r] for r in instance.desired_by(p)]
+        sums = {sum(combo, F(0)) for combo in powerset(values)}
+        union |= sums
+        count += len(sums)
+    return sorted(union), count
+
+
+class TestSubsetSumBreakpoints:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_agrees_with_enumeration(self, data):
+        # Up to 4 players with up to 8 desired resources each, drawn from a
+        # shared pool; denominators 1..1000 make the common denominator
+        # large; zero values and a player with no desires are always drawn.
+        values = st.one_of(
+            st.just(F(0)),
+            st.builds(F, st.integers(0, 3000), st.integers(1, 1000)),
+        )
+        pool = data.draw(st.lists(values, min_size=1, max_size=12), label="values")
+        resources = {f"r{j}": v for j, v in enumerate(pool)}
+        names = sorted(resources)
+        resources["zero"] = F(0)
+        players = data.draw(st.integers(1, 4), label="players")
+        # p0's eighth desire is the zero-value resource.
+        desires = {
+            f"p{i}": data.draw(
+                st.lists(st.sampled_from(names), max_size=8 - (i == 0), unique=True),
+                label=f"desires of p{i}",
+            )
+            for i in range(players)
+        }
+        desires["p0"].append("zero")
+        idle = data.draw(st.integers(0, players), label="idle position")
+        order = [f"p{i}" for i in range(players)]
+        order.insert(idle, "idle")
+        desires["idle"] = []
+        inst = make_instance(resources, desires, players=order)
+        points = subset_sum_breakpoints(inst)
+        assert points == enumerate_breakpoints(inst)[0]
+        assert all(type(q) is Fraction for q in points)
+        assert all(a < b for a, b in zip(points, points[1:]))
+
+    def test_budget_boundary(self):
+        # The budget caps the per-player distinct sums added up over the
+        # players: at that count the call returns, one below it raises.
+        # Zero-value resources, here three desired by every player, add no
+        # sums.
+        zeros = [{"id": f"zero{i}", "value": "0"} for i in range(3)]
+        for kind in KINDS:
+            for seed in range(3):
+                inst = generate_instance(kind, 4, 8, seed)
+                expected, n = enumerate_breakpoints(inst)
+                raw = inst.to_json_dict()
+                raw["resources"] += zeros
+                for p in raw["players"]:
+                    raw["desires"][p] += [z["id"] for z in zeros]
+                padded = validate_instance(raw)
+                assert enumerate_breakpoints(padded) == (expected, n)
+                for case in (inst, padded):
+                    assert subset_sum_breakpoints(case, budget=n) == expected
+                    with pytest.raises(BudgetExceeded, match=f"budget {n - 1}$"):
+                        subset_sum_breakpoints(case, budget=n - 1)
+
+    def test_huge_common_denominator(self):
+        # 48 distinct primes from 1009 up: their LCM has about 150 digits,
+        # so a bitset over the common denominator would need about 10^150
+        # bits; the sets of sums hold one int per point.
+        primes = [q for q in range(1009, 2000) if all(q % d for d in range(2, 45))][:48]
+        resources = {f"r{q}": F(1, q) for q in primes}
+        desires = {
+            f"p{i}": [f"r{q}" for q in primes[12 * i : 12 * i + 12]] for i in range(4)
+        }
+        inst = make_instance(resources, desires)
+        start = time.perf_counter()
+        points = subset_sum_breakpoints(inst)
+        elapsed = time.perf_counter() - start
+        # Distinct primes give distinct sums: 2^12 per player, 0 shared.
+        assert len(points) == 4 * 2**12 - 3 == 16_381
+        assert points[:2] == [F(0), F(1, primes[-1])]
+        totals = [sum(F(1, q) for q in primes[12 * i : 12 * i + 12]) for i in range(4)]
+        assert points[-1] == max(totals)
+        assert elapsed < 10
 
 
 class TestComputeTStar:
