@@ -15,11 +15,12 @@ which priced every player at exactly those prices and found nothing cheaper.
 The optimal target T* is the largest T at which CLP(T) is feasible.
 Feasibility only changes when the configuration sets change, i.e. at
 subset-sum values of some player's desired resources, so `compute_T_star`
-binary-searches those breakpoints.  `subset_sum_breakpoints` adds them as
-Python `int`s over one common denominator, the LCM of the value
-denominators.  When they exceed the work budget (the per-player distinct
-sums, added up over the players), `bracket_T_star` bisects instead and
-returns T* to a requested accuracy.
+binary-searches those breakpoints.  Both the breakpoints and the pricing
+read the instance's integer values (`Instance.weight`, over the one common
+denominator `Instance.scale`), so the only LCM computed here is the one of
+the prices.  When the breakpoints exceed the work budget (the per-player
+distinct sums, added up over the players), `bracket_T_star` bisects instead
+and returns T* to a requested accuracy.
 """
 
 from __future__ import annotations
@@ -140,31 +141,28 @@ def min_cost_configuration(
     the bundles of positive-value desired resources worth at least `target`;
     zero-value resources never enter a bundle, and a missing price is 0.
 
-    Exact branch and bound over integers: the candidate values and the
-    target are scaled by the LCM of their denominators, the costs by the LCM
-    of their own, so every addition and comparison is on Python `int`s and
-    the cost becomes a `Fraction` only on return.  Candidates are sorted by
-    descending value and pruned by the remaining achievable value and by the
-    incumbent cost.
+    Exact branch and bound over integers: the values are the instance's
+    weights, the target is rounded up onto their scale, and the costs are
+    scaled by the LCM of their denominators, so every addition and comparison
+    is on Python `int`s and the cost becomes a `Fraction` only on return.
+    Candidates come in the instance's search order (descending value) and
+    are pruned by the remaining achievable value and by the incumbent cost.
     """
     target = Fraction(target)
     for r, price in prices.items():
         if price < 0:
             raise NegativePrice(f"price of {r!r} is negative: {price}")
-    desired = instance.desired_by(player)
+    instance.player_index(player)
     if target <= 0:
         return (_ZERO, frozenset())
 
     index_of = instance.resource_index
-    candidates = [r for r in desired if instance.value[r] > 0]
-    candidates.sort(key=lambda r: (-instance.value[r], index_of(r)))
-    exact_values = [instance.value[r] for r in candidates]
+    candidates = instance.candidates[player]
+    values = [instance.weight[r] for r in candidates]
     exact_costs = [Fraction(prices.get(r, 0)) for r in candidates]
-    value_scale = reduce(lcm, (v.denominator for v in exact_values), target.denominator)
     cost_scale = reduce(lcm, (c.denominator for c in exact_costs), 1)
-    values = [v.numerator * (value_scale // v.denominator) for v in exact_values]
     costs = [c.numerator * (cost_scale // c.denominator) for c in exact_costs]
-    goal = target.numerator * (value_scale // target.denominator)
+    goal = -(-target.numerator * instance.scale // target.denominator)
     positions = [index_of(r) for r in candidates]
     n = len(candidates)
     suffix = [0] * (n + 1)
@@ -328,29 +326,28 @@ def subset_sum_breakpoints(
     Feasibility of CLP(T) is constant between consecutive breakpoints, so the
     optimal target is always one of them.
 
-    The sums are Python `int`s over one common denominator, the LCM of the
-    denominators of the positive values; each point becomes a `Fraction`
-    only on return.  `budget` caps the per-player distinct sums (the empty
-    sum included) added up over the players: it is checked after every
-    desired resource, and `BudgetExceeded` is raised past it.
+    The sums are Python `int`s over the instance's `scale`: each desired
+    resource adds its `weight`, and each point becomes a `Fraction` only on
+    return.  `budget` caps the per-player distinct sums (the empty sum
+    included) added up over the players: it is checked after every player
+    and after every positive-value desired resource, and `BudgetExceeded` is
+    raised past it whatever the player order.
     """
-    scale = lcm(*(v.denominator for v in instance.value.values() if v > 0))
     seen: set[int] = set()
     total = 0
     for p in instance.players:
         sums = {0}
         for r in instance.desired_by(p):
-            v = instance.value[r]
-            if v > 0:
-                step = v.numerator * (scale // v.denominator)
+            step = instance.weight[r]
+            if step:
                 sums |= {s + step for s in sums}
-            if total + len(sums) > budget:
-                raise BudgetExceeded(
-                    f"subset-sum breakpoints exceed budget {budget}"
-                )
+                if total + len(sums) > budget:
+                    break
         total += len(sums)
+        if total > budget:
+            raise BudgetExceeded(f"subset-sum breakpoints exceed budget {budget}")
         seen |= sums
-    return [Fraction(s, scale) for s in sorted(seen)]
+    return [Fraction(s, instance.scale) for s in sorted(seen)]
 
 
 def compute_T_star(

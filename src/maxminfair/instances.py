@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -87,7 +89,9 @@ class Instance:
 
     Immutable after construction; the input order of players and resources is
     the universal tie-breaking order used by every deterministic choice
-    downstream.
+    downstream.  `scale`, `weight` and `candidates` are computed on first
+    read and cached on the instance; they are not fields, so equality, `repr`
+    and the JSON form ignore them.
     """
 
     players: tuple[str, ...]
@@ -112,6 +116,27 @@ class Instance:
     @property
     def num_resources(self) -> int:
         return len(self.resources)
+
+    @cached_property
+    def scale(self) -> int:
+        """The LCM of the positive values' denominators (1 when there is none)."""
+        return lcm(*(v.denominator for v in self.value.values() if v > 0))
+
+    @cached_property
+    def weight(self) -> dict[str, int]:
+        """Each resource's value times `scale`, an exact `int`."""
+        return {r: v.numerator * (self.scale // v.denominator) for r, v in self.value.items()}
+
+    @cached_property
+    def candidates(self) -> dict[str, tuple[str, ...]]:
+        """Each player's positive-value desired resources in search order:
+        descending value, ties by index."""
+        weight, index = self.weight, self._resource_index
+        candidates = {}
+        for p in self.players:
+            wanted = [r for r in self.desire.get(p, ()) if weight[r] > 0]
+            candidates[p] = tuple(sorted(wanted, key=lambda r: (-weight[r], index[r])))
+        return candidates
 
     def player_index(self, player: str) -> int:
         try:
@@ -260,6 +285,8 @@ class NormalizedInstance:
     threshold) but remain legal and may be handed out when completing an
     allocation.  `fat[p]` lists p's fat resources by index and `thin[p]` its
     thin ones by descending value, ties by index: the local search's order.
+    `bound` is the threshold in the units of `base.weight`, rounded up, so
+    an `int` total of weights reaches the threshold iff it reaches `bound`.
     """
 
     base: Instance
@@ -267,6 +294,7 @@ class NormalizedInstance:
     fat: Mapping[str, tuple[str, ...]]
     thin: Mapping[str, tuple[str, ...]]
     fat_resources: frozenset[str]
+    bound: int
 
     def is_fat(self, resource: str) -> bool:
         return resource in self.fat_resources
@@ -282,19 +310,18 @@ def normalize(instance: Instance, target: Fraction) -> NormalizedInstance:
         raise InvalidTarget(f"target must be positive, got {target}")
     scaled = instance.scaled(Fraction(1, 1) / target)
     threshold = GUARANTEE_FRACTION
-    value = scaled.value
-    fat_order = [r for r in scaled.resources if value[r] >= threshold]
-    thin_order = [r for r in scaled.resources if 0 < value[r] < threshold]
-    thin_order.sort(key=lambda r: -value[r])  # stable: ties keep index order
+    bound = -(-threshold.numerator * scaled.scale // threshold.denominator)
+    fat_order = [r for r in scaled.resources if scaled.weight[r] >= bound]
     fat, thin = {}, {}
     for p in scaled.players:  # tuple([...]): a resized tuple(<gen>) pins free lists
         wanted = scaled.desired_by(p)
         fat[p] = tuple([r for r in fat_order if r in wanted])
-        thin[p] = tuple([r for r in thin_order if r in wanted])
+        thin[p] = tuple([r for r in scaled.candidates[p] if scaled.weight[r] < bound])
     return NormalizedInstance(
         base=scaled,
         threshold=threshold,
         fat=fat,
         thin=thin,
         fat_resources=frozenset(fat_order),
+        bound=bound,
     )

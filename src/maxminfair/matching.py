@@ -43,8 +43,6 @@ THIN = "thin"
 
 INFINITY = float("inf")
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -195,15 +193,13 @@ def is_minimal_thin_edge(
     desired = ni.base.desired_by(player)
     for r in bundle:
         ni.base.resource_index(r)
-    if not bundle or not all(
-        r in desired and 0 < ni.value(r) < ni.threshold for r in bundle
-    ):
+    weight, bound = ni.base.weight, ni.bound
+    if not bundle or not all(r in desired and 0 < weight[r] < bound for r in bundle):
         return False
-    total = sum((ni.value(r) for r in bundle), _ZERO)
-    if total < ni.threshold:
+    total = sum(weight[r] for r in bundle)
+    if total < bound:
         return False
-    smallest = min(ni.value(r) for r in bundle)
-    return total - smallest < ni.threshold
+    return total - min(weight[r] for r in bundle) < bound
 
 
 def edge_in_hypergraph(ni: NormalizedInstance, edge: Edge) -> bool:
@@ -229,17 +225,18 @@ def find_addable_edge(ni: NormalizedInstance, state: SearchState) -> Optional[Ed
     returns None exactly when no addable edge exists.
     """
     covered = state.covered
+    weight, bound = ni.base.weight, ni.bound
     for q in state.active_order:
         for r in ni.fat[q]:
             if r not in covered:
                 return Edge(player=q, bundle=frozenset({r}), kind=FAT)
         chosen = []
-        total = _ZERO
+        total = 0
         for r in ni.thin[q]:
             if r not in covered:
                 chosen.append(r)
-                total += ni.value(r)
-                if total >= ni.threshold:
+                total += weight[r]
+                if total >= bound:
                     return Edge(player=q, bundle=frozenset(chosen), kind=THIN)
     return None
 

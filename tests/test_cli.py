@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -325,6 +326,32 @@ class TestVerify:
                 ["verify", "--instance", inst_path, "--allocation", str(alloc_path)]
             )
             assert code == EXIT_INPUT, allocation
+
+    def test_huge_coprime_denominators_stay_cheap(self, capsys, tmp_path):
+        # 300 values 1/q, q distinct odd 1000-digit numbers: their common
+        # denominator has about 300,000 digits.  Validating and verifying
+        # never read the integer values, so neither pays for that LCM.
+        qs = [10**999 + 2 * k + 1 for k in range(300)]
+        raw = {
+            "players": [f"p{k}" for k in range(300)],
+            "resources": [{"id": f"r{k}", "value": f"1/{q}"} for k, q in enumerate(qs)],
+            "desires": {f"p{k}": [f"r{k}"] for k in range(300)},
+        }
+        inst_path = tmp_path / "instance.json"
+        inst_path.write_text(json.dumps(raw))
+        alloc_path = tmp_path / "alloc.json"
+        alloc_path.write_text(
+            json.dumps({"allocation": {f"p{k}": [f"r{k}"] for k in range(300)}})
+        )
+        start = time.perf_counter()
+        validate_instance(raw)
+        code, report = run_cli(
+            capsys, "verify", "--instance", str(inst_path), "--allocation", str(alloc_path)
+        )
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK
+        assert report["min_value"] == f"1/{qs[-1]}"
+        assert elapsed < 1
 
 
 class TestSolveLibrary:

@@ -289,6 +289,14 @@ class TestSubsetSumBreakpoints:
                     assert subset_sum_breakpoints(case, budget=n) == expected
                     with pytest.raises(BudgetExceeded, match=f"budget {n - 1}$"):
                         subset_sum_breakpoints(case, budget=n - 1)
+        # A player with no desires still adds its one sum, wherever it stands
+        # in the player order: 2 + 1 + 1 = 4 sums here.
+        for order in (["p", "x", "y"], ["x", "y", "p"]):
+            inst = make_instance({"a": "1"}, {"p": ["a"]}, players=order)
+            assert subset_sum_breakpoints(inst, budget=4) == [F(0), F(1)]
+            for budget in (2, 3):
+                with pytest.raises(BudgetExceeded, match=f"budget {budget}$"):
+                    subset_sum_breakpoints(inst, budget=budget)
 
     def test_huge_common_denominator(self):
         # 48 distinct primes from 1009 up: their LCM has about 150 digits,

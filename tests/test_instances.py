@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -240,9 +241,28 @@ def instances(draw, max_players=4, max_resources=6):
 
 @given(instances(), positive_rationals)
 def test_normalize_round_trip(inst, target):
+    fresh, shown = validate_instance(inst.to_json_dict()), repr(inst)
     ni = normalize(inst, target)
     for r in inst.resources:
         assert ni.base.value[r] * target == inst.value[r]
+    # The integer values: one common denominator, each value exactly on it,
+    # and each player's positive desired resources in search order.
+    for case in (inst, ni.base):
+        positive = [v.denominator for v in case.value.values() if v > 0]
+        assert case.scale == math.lcm(*positive)
+        for r in case.resources:
+            assert type(case.weight[r]) is int
+            assert case.weight[r] == case.value[r] * case.scale
+        for p in case.players:
+            assert case.candidates[p] == tuple(
+                sorted(
+                    (r for r in case.desired_by(p) if case.value[r] > 0),
+                    key=lambda r: (-case.value[r], case.resource_index(r)),
+                )
+            )
+    # Cached attributes are not fields: equality, repr and JSON are unchanged.
+    assert inst == fresh and repr(inst) == shown
+    assert inst.to_json_dict() == fresh.to_json_dict()
 
 
 @given(instances(), positive_rationals)
@@ -256,6 +276,7 @@ def test_fat_thin_partition(inst, target):
         )
         assert not set(ni.fat[p]) & set(ni.thin[p])
         for r in inst.desired_by(p):
+            assert (r in ni.fat[p]) == (ni.value(r) >= ni.threshold)
             if inst.value[r] > 0:
                 assert (r in ni.fat[p]) != (r in ni.thin[p])
             else:
