@@ -4,7 +4,9 @@ CLP(T) asks for fractional weights on configurations (bundles of desired
 resources worth at least T) so that every player collects one unit while no
 resource is used more than once.  The engine works by column generation: a
 phase-1 master minimizes the total player shortfall over a growing column
-pool, and an exact min-cost-configuration search prices new columns.  When no
+pool, and an exact min-cost-configuration search prices new columns.  The
+master is one live `simplex.Tableau` per `clp_feasible` call: each round
+appends its new columns and resumes pivoting from the last optimum.  When no
 improving column exists and the shortfall is positive, the master duals are a
 certified proof of infeasibility.  Each claim is checked once, never trusted,
 and a failure raises `VerificationFailed`: feasible weights are re-checked
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import (
     BudgetExceeded,
@@ -38,7 +40,8 @@ from .errors import (
     VerificationFailed,
 )
 from .instances import Instance, bundle_value, format_rational
-from .simplex import LinearProgram, solve_lp, OPTIMAL
+from .simplex import LinearProgram, OPTIMAL, Tableau
+from .simplex import solve_lp  # not called here; perfbench/tracing.py wraps it by name
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -212,28 +215,13 @@ def min_cost_configuration(
     )
 
 
-def _master_lp(
-    instance: Instance, pool: Sequence[ConfigColumn]
-) -> LinearProgram:
-    """Phase-1 master: minimize total shortfall, one unit slack per player."""
-    m = len(instance.players)
-    width = len(pool) + m
-    objective = [0] * len(pool) + [1] * m
-    player_rows = [[0] * width for _ in instance.players]
-    resource_rows = [[0] * width for _ in instance.resources]
-    for j, col in enumerate(pool):
-        player_rows[instance.player_index(col.player)][j] = 1
-        for r in col.bundle:
-            resource_rows[instance.resource_index(r)][j] = 1
-    for pi, row in enumerate(player_rows):
-        row[len(pool) + pi] = 1
-    rows = [(row, ">=", 1) for row in player_rows]
-    rows += [(row, "<=", 1) for row in resource_rows]
-    return LinearProgram.minimize(objective, rows)
-
-
 def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
     """Decide CLP(target) by column generation; verdicts carry exact evidence.
+
+    The master is one live `Tableau` for the whole call: the empty-pool
+    phase-1 master (minimize the total shortfall, one unit shortfall column
+    per player) is built once, each round appends its improving columns to
+    it, and the next round's pivots resume from the last optimum.
 
     Feasible: a fractional solution satisfying both constraint families
     exactly.  Infeasible: dual prices with positive objective, feasible
@@ -244,13 +232,16 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
     if target < 0:
         raise InvalidTarget(f"target must be non-negative, got {target}")
 
+    m = len(instance.players)
+    rows = [([int(k == i) for k in range(m)], ">=", 1) for i in range(m)]
+    rows += [([0] * m, "<=", 1) for _ in instance.resources]
+    master = Tableau(LinearProgram.minimize([1] * m, rows))
     pool: list[ConfigColumn] = []
     pooled: set[tuple[str, frozenset[str]]] = set()
     while True:
-        outcome = solve_lp(_master_lp(instance, pool))
+        outcome = master.optimize()
         if outcome.status != OPTIMAL:  # the master always has the slack point
             raise VerificationFailed(f"master LP reported {outcome.status}")
-        m = len(instance.players)
         y = {
             p: outcome.dual[pi] for pi, p in enumerate(instance.players)
         }
@@ -284,18 +275,25 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
             )
         )
         for col in improving:
+            column = [0] * len(rows)
+            column[instance.player_index(col.player)] = 1
+            for r in col.bundle:
+                column[m + instance.resource_index(r)] = 1
+            master.append(0, column)
             pool.append(col)
             pooled.add((col.player, col.bundle))
 
 
 def _final_verdict(instance, pool, outcome, y, z):
+    # The master's variables: one shortfall per player, then the pool.
+    m = len(instance.players)
     shortfall = outcome.objective
     if shortfall == 0:
         solution = []
         used: dict[str, Fraction] = {r: _ZERO for r in instance.resources}
         received: dict[str, Fraction] = {p: _ZERO for p in instance.players}
         for j, col in enumerate(pool):
-            w = outcome.primal[j]
+            w = outcome.primal[m + j]
             if w > 0:
                 solution.append((col, w))
                 received[col.player] += w

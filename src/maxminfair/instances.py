@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -90,7 +90,8 @@ class Instance:
     Immutable after construction; the input order of players and resources is
     the universal tie-breaking order used by every deterministic choice
     downstream.  `scale`, `weight` and `candidates` are computed on first
-    read and cached on the instance; they are not fields, so equality, `repr`
+    read and cached on the instance (a `scaled` copy gets its `scale` and
+    `weight` from the original's); they are not fields, so equality, `repr`
     and the JSON form ignore them.
     """
 
@@ -164,13 +165,31 @@ class Instance:
         return sorted(bundle, key=self.resource_index)
 
     def scaled(self, factor: Fraction) -> "Instance":
-        """A copy with every resource value multiplied by `factor`."""
-        return Instance(
+        """A copy with every resource value multiplied by `factor` >= 0.
+
+        The copy's `scale` and `weight` come from this instance's with one
+        `gcd` instead of a second LCM over the values.  With factor = a/c
+        and b = scale·c, a weight w becomes the value w·a/b.  The gcd G of
+        the positive weights is the gcd of the positive values' numerators,
+        because it shares no prime with `scale`.  So the new scale is b/g
+        with g = gcd(b, a·G), and each new weight is (w/G)·(a·G/g).
+        """
+        factor = Fraction(factor)
+        if factor < 0:
+            raise ValueError(f"scale factor must be non-negative, got {factor}")
+        copy = Instance(
             players=self.players,
             resources=self.resources,
             value={r: v * factor for r, v in self.value.items()},
             desire=self.desire,
         )
+        a, b = factor.numerator, self.scale * factor.denominator
+        G = gcd(*(v.numerator for v in self.value.values() if v > 0))
+        g = gcd(b, a * G)
+        k = a * G // g
+        copy.__dict__["scale"] = b // g
+        copy.__dict__["weight"] = {r: w // G * k if w else 0 for r, w in self.weight.items()}
+        return copy
 
     def to_json_dict(self) -> dict:
         return {

@@ -5,26 +5,37 @@ subject to integer rows a . x <= b or a . x >= b with every b >= 0, where
 each ">=" row has a column of its own (a shortfall column, say) that is its
 unit vector.  The primal simplex then runs as a single phase from a feasible
 start: each "<=" row's slack and each ">=" row's unit column.  Building a
-`LinearProgram` rejects a non-int entry or any other shape, and `solve_lp`
-rejects a ">=" row without a unit column before the first pivot.
+`LinearProgram` rejects a non-int entry or any other shape, and building a
+`Tableau` rejects a ">=" row without a unit column before the first pivot.
 
-Bland's pivot rule makes every solve terminate and be deterministic.  The
-tableau is fraction-free: Python ints over one common denominator, updated
-by integer-preserving (Bareiss) pivots whose divisions are all exact.
-Optimal outcomes carry exact primal and dual solutions as Fractions;
-`verify_outcome` re-checks them from scratch with plain Fraction arithmetic
-(feasibility, dual feasibility, equal objectives, complementary slackness)
-without trusting the solver.
+A `Tableau` is live: after an optimize, more integer columns can be appended
+and the next optimize resumes from the last basis, which adding columns
+leaves primal feasible.  Column generation keeps one for all its rounds, so
+no pivot is ever repeated; `solve_lp` is the one-shot case, a tableau built
+with every column and optimized once.  Both run the same pivot loop.
+
+Bland's pivot rule makes every solve terminate and be deterministic; an
+appended column takes the next index, after the slack block.  The tableau
+is fraction-free: Python ints over one common denominator, updated by
+integer-preserving (Bareiss) pivots whose divisions are all exact.  An
+appended column enters as an integer combination of current tableau
+columns, so it keeps that invariant.  Optimal outcomes carry exact primal
+and dual solutions as Fractions; `verify_outcome` re-checks them from
+scratch with plain Fraction arithmetic (feasibility, dual feasibility, equal
+objectives, complementary slackness) without trusting the solver.
 
 Scale note: instances in this package have a handful of rows and at most a
-few thousand columns, where exact dense pivoting is entirely adequate.
+few thousand columns, where exact dense pivoting is entirely adequate.  A
+column-generation master grows by a few columns a round and its entries
+stay small: over the whole T* search of the `uniform` 8×20 instance
+(generator seed 0) the largest is 15 bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatch
 
@@ -95,92 +106,157 @@ class LpOutcome:
     objective: Optional[Fraction] = None
 
 
+class Tableau:
+    """A live fraction-free tableau: build it from an LP, optimize, append
+    columns, optimize again.
+
+    Building checks the starting basis and raises `ValueError` before the
+    first pivot when a ">=" row has no unit column: a coefficient of exactly
+    1 that is the only nonzero in its column.  Each `optimize` resumes Bland
+    pivots from the basis the last one left, which stays primal feasible
+    whatever columns are appended in between.  The variables are the LP's
+    columns followed by the appended ones, in the order they came.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        n = lp.num_vars
+        m = len(lp.rows)
+        nonzeros = [len(col) - col.count(0) for col in zip(*[c for c, _, _ in lp.rows])]
+
+        # Standard form: one slack (for "<=") or surplus (for ">=") column
+        # per row, after the LP's columns; appended columns come after
+        # those.  Starting basis: a "<=" row's slack, a ">=" row's
+        # structural unit column.
+        rows: list[list[int]] = []
+        starts: list[int] = []
+        for i, (coeffs, rel, rhs) in enumerate(lp.rows):
+            row = list(coeffs) + [0] * m + [rhs]
+            row[n + i] = 1 if rel == "<=" else -1
+            rows.append(row)
+            start = n + i if rel == "<=" else next(
+                (j for j, a in enumerate(coeffs) if a == 1 and nonzeros[j] == 1), -1
+            )
+            if start < 0:
+                raise ValueError(f"'>=' row {i} has no unit column to start from")
+            starts.append(start)
+
+        # Row m is the reduced-cost row; every row is d times its rational
+        # value, the rhs last.
+        costs = list(lp.objective) + [0] * m
+        red = costs + [0]
+        for k, s in enumerate(starts):
+            if costs[s]:
+                red = [r - costs[s] * a for r, a in zip(red, rows[k])]
+        rows.append(red)
+        self._n = n
+        self._rows = rows
+        self._costs = costs
+        self._starts = tuple(starts)
+        self._basis = starts
+        self._d = 1
+
+    @property
+    def num_rows(self) -> int:
+        return len(self._starts)
+
+    @property
+    def num_vars(self) -> int:
+        return len(self._costs) - self.num_rows
+
+    def append(self, cost: int, column: Sequence[int]) -> None:
+        """Add a variable with this cost and these row coefficients.
+
+        Every row's starting column began as e_i, so its current column is
+        d·B⁻¹e_i, and the new column's is the integer combination of those
+        with the new coefficients: no pivot is repeated and the later
+        Bareiss divisions stay exact.  The reduced cost follows the same
+        way, from each row's dual d·y_i = d·c_s - red_s.
+        """
+        _require_ints(cost, *column)
+        m = self.num_rows
+        if len(column) != m:
+            raise DimensionMismatch(f"column height {len(column)} != {m}")
+        rows, costs = self._rows, self._costs
+        entries = [0] * (m + 1)
+        basic_cost = 0
+        for a, s in zip(column, self._starts):
+            if a:
+                for k, row in enumerate(rows):
+                    entries[k] += a * row[s]
+                basic_cost += a * costs[s]
+        entries[m] += self._d * (cost - basic_cost)
+        for row, entry in zip(rows, entries):
+            row.insert(-1, entry)
+        costs.append(cost)
+
+    def optimize(self) -> LpOutcome:
+        """Exact optimum with primal and dual solutions, or Unbounded."""
+        rows, basis = self._rows, self._basis
+        m = self.num_rows
+        total = len(self._costs)
+        red = rows[m]
+        d = self._d
+
+        # Bland's rule: smallest-index entering column with negative reduced
+        # cost; leaving row by min ratio, ties to the smallest basis index.
+        while True:
+            enter = next((j for j in range(total) if red[j] < 0), -1)
+            if enter < 0:
+                break
+            leave = -1
+            best_num = best_den = 0
+            for i in range(m):
+                a = rows[i][enter]
+                if a > 0:
+                    b = rows[i][total]
+                    if leave < 0 or b * best_den < best_num * a or (
+                        b * best_den == best_num * a and basis[i] < basis[leave]
+                    ):
+                        leave, best_num, best_den = i, b, a
+            if leave < 0:
+                return LpOutcome(status=UNBOUNDED)
+            # Integer-preserving (Bareiss) pivot: every division is exact,
+            # and the pivot is positive, so d stays positive.
+            prow = rows[leave]
+            p = prow[enter]
+            for i, row in enumerate(rows):
+                if i == leave:
+                    continue
+                f = row[enter]
+                if f:
+                    rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+                elif p != d:
+                    rows[i] = [p * a // d for a in row]
+            self._d = d = p
+            basis[leave] = enter
+            red = rows[m]
+
+        # The slack block sits between the LP's columns and the appended ones.
+        n = self._n
+        primal = [_ZERO] * (total - m)
+        for k, j in enumerate(basis):
+            if j < n or j >= n + m:
+                primal[j if j < n else j - m] = Fraction(rows[k][total], d)
+        objective = Fraction(-red[total], d)
+
+        # Duals: c_B . B^{-1} e_i.  Each row's starting column was e_i, and
+        # every pivot has treated it as it would e_i, so y_i is that
+        # column's cost minus its reduced cost.
+        costs = self._costs
+        dual = tuple([Fraction(d * costs[s] - red[s], d) for s in self._starts])
+        return LpOutcome(
+            status=OPTIMAL, primal=tuple(primal), dual=dual, objective=objective
+        )
+
+
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Exact optimum with primal and dual solutions, or Unbounded.
 
-    Runs on the LP's integers as given.  Raises `ValueError` before the first
-    pivot when a ">=" row has no unit column: a coefficient of exactly 1 that
-    is the only nonzero in its column.
+    Builds the live tableau with every column of the LP, then optimizes: the
+    one pivot loop column generation resumes round after round.  Raises
+    `ValueError` before the first pivot when a ">=" row has no unit column.
     """
-    n = lp.num_vars
-    m = len(lp.rows)
-    nonzeros = [len(col) - col.count(0) for col in zip(*[c for c, _, _ in lp.rows])]
-
-    # Standard form: one slack (for "<=") or surplus (for ">=") column per
-    # row.  Starting basis: a "<=" row's slack, a ">=" row's structural unit
-    # column.
-    total = n + m
-    tableau: list[list[int]] = []
-    basis: list[int] = []
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        row = list(coeffs) + [0] * m + [rhs]
-        row[n + i] = 1 if rel == "<=" else -1
-        tableau.append(row)
-        start = n + i if rel == "<=" else next(
-            (j for j, a in enumerate(coeffs) if a == 1 and nonzeros[j] == 1), -1
-        )
-        if start < 0:
-            raise ValueError(f"'>=' row {i} has no unit column to start from")
-        basis.append(start)
-    starts = tuple(basis)
-
-    # Row m is the reduced-cost row; every row is d times its rational value.
-    full_cost = list(lp.objective) + [0] * m
-    red = full_cost + [0]
-    for k, bi in enumerate(basis):
-        cb = full_cost[bi]
-        if cb:
-            red = [r - cb * a for r, a in zip(red, tableau[k])]
-    tableau.append(red)
-    d = 1
-
-    # Bland's rule: smallest-index entering column with negative reduced
-    # cost; leaving row by min ratio, ties to the smallest basis index.
-    while True:
-        enter = next((j for j in range(total) if red[j] < 0), -1)
-        if enter < 0:
-            break
-        leave = -1
-        best_num = best_den = 0
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                b = tableau[i][total]
-                if leave < 0 or b * best_den < best_num * a or (
-                    b * best_den == best_num * a and basis[i] < basis[leave]
-                ):
-                    leave, best_num, best_den = i, b, a
-        if leave < 0:
-            return LpOutcome(status=UNBOUNDED)
-        # Integer-preserving (Bareiss) pivot: every division is exact, and
-        # the pivot is positive, so d stays positive.
-        prow = tableau[leave]
-        p = prow[enter]
-        for i, row in enumerate(tableau):
-            if i == leave:
-                continue
-            f = row[enter]
-            if f:
-                tableau[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
-            elif p != d:
-                tableau[i] = [p * a // d for a in row]
-        d = p
-        basis[leave] = enter
-        red = tableau[m]
-
-    primal = [_ZERO] * n
-    for k, bi in enumerate(basis):
-        if bi < n:
-            primal[bi] = Fraction(tableau[k][total], d)
-    objective = Fraction(-red[total], d)
-
-    # Duals: c_B . B^{-1} e_i.  Each row's starting column was e_i, and every
-    # pivot has treated it as it would e_i, so y_i is that column's cost
-    # minus its reduced cost.
-    dual = tuple([Fraction(d * full_cost[s] - red[s], d) for s in starts])
-    return LpOutcome(
-        status=OPTIMAL, primal=tuple(primal), dual=dual, objective=objective
-    )
+    return Tableau(lp).optimize()
 
 
 def verify_outcome(lp: LinearProgram, outcome: LpOutcome) -> list[str]:

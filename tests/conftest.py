@@ -47,6 +47,16 @@ def zero_outcome(lp):
     )
 
 
+def zero_optimize(tableau):
+    """The same corrupted answer from a live tableau's optimize step."""
+    return LpOutcome(
+        status=OPTIMAL,
+        primal=(Fraction(0),) * tableau.num_vars,
+        dual=(Fraction(0),) * tableau.num_rows,
+        objective=Fraction(0),
+    )
+
+
 @pytest.fixture
 def two_fat():
     """Two players, two unit-value resources, both desired by both."""

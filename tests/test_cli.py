@@ -14,7 +14,6 @@ import pytest
 
 from maxminfair import (
     cli,
-    configlp,
     format_rational,
     generate_instance,
     validate_instance,
@@ -31,8 +30,9 @@ from maxminfair.cli import (
     solve,
 )
 from maxminfair.errors import VerificationFailed
+from maxminfair.simplex import Tableau
 
-from conftest import make_instance, zero_outcome
+from conftest import make_instance, zero_optimize
 
 F = Fraction
 
@@ -153,7 +153,7 @@ class TestSolve:
     def test_failed_verification_is_internal_error(
         self, monkeypatch, capsys, tmp_path, two_fat
     ):
-        monkeypatch.setattr(configlp, "solve_lp", zero_outcome)
+        monkeypatch.setattr(Tableau, "optimize", zero_optimize)
         code = main(["solve", "--instance", write_instance(tmp_path, two_fat)])
         assert code == EXIT_FAIL
         assert capsys.readouterr().err.startswith("internal error:")

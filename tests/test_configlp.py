@@ -28,10 +28,10 @@ from maxminfair.errors import (
     VerificationFailed,
 )
 from maxminfair.generators import KINDS
-from maxminfair.simplex import verify_outcome
+from maxminfair.simplex import LinearProgram, Tableau, verify_outcome
 from maxminfair.oracle import enumerated_clp_feasible, exact_T_star_enumerated
 
-from conftest import make_instance, run_python_optimize, zero_outcome
+from conftest import make_instance, run_python_optimize, zero_optimize, zero_outcome
 
 F = Fraction
 
@@ -398,26 +398,64 @@ class TestProperties:
                 )
 
 
+def master_lp(instance, pool):
+    """Reference phase-1 master over `pool`, in the live master's variable
+    order: one unit shortfall column per player, then the pool's columns."""
+    m = len(instance.players)
+    width = m + len(pool)
+    player_rows = [[0] * width for _ in instance.players]
+    resource_rows = [[0] * width for _ in instance.resources]
+    for pi, row in enumerate(player_rows):
+        row[pi] = 1
+    for j, col in enumerate(pool):
+        player_rows[instance.player_index(col.player)][m + j] = 1
+        for r in col.bundle:
+            resource_rows[instance.resource_index(r)][m + j] = 1
+    rows = [(row, ">=", 1) for row in player_rows]
+    rows += [(row, "<=", 1) for row in resource_rows]
+    return LinearProgram.minimize([1] * m + [0] * len(pool), rows)
+
+
 class TestVerificationGates:
     def test_every_master_lp_verifies(self, monkeypatch):
-        solved = []
-        original = configlp.solve_lp
+        # Every round of every probe: the live master's outcome must be the
+        # verified optimum of the master LP over that round's pool, built
+        # here from scratch.
+        rounds = []
+        checked = 0
+        optimize = Tableau.optimize
+        probe = configlp.clp_feasible
 
-        def recording(lp):
-            out = original(lp)
-            solved.append((lp, out))
+        def recording(tableau):
+            out = optimize(tableau)
+            rounds.append((tableau, tableau.num_vars, out))
             return out
 
-        monkeypatch.setattr(configlp, "solve_lp", recording)
+        def verifying(instance, target):
+            nonlocal checked
+            rounds.clear()
+            verdict = probe(instance, target)
+            m = len(instance.players)
+            # One live master per probe, growing by each round's columns.
+            assert len({id(tableau) for tableau, _, _ in rounds}) == 1
+            widths = [width for _, width, _ in rounds]
+            assert widths[0] == m and widths[-1] == m + len(verdict.transcript)
+            assert widths == sorted(set(widths))
+            for _, width, out in rounds:
+                lp = master_lp(instance, verdict.transcript[: width - m])
+                assert verify_outcome(lp, out) == []
+                checked += 1
+            return verdict
+
+        monkeypatch.setattr(Tableau, "optimize", recording)
+        monkeypatch.setattr(configlp, "clp_feasible", verifying)
         for kind in KINDS:
             for seed in range(10):
                 compute_T_star(generate_instance(kind, 3, 6, seed))
-        assert solved
-        for lp, out in solved:
-            assert verify_outcome(lp, out) == []
+        assert checked
 
     def test_corrupted_master_raises(self, monkeypatch, two_fat):
-        monkeypatch.setattr(configlp, "solve_lp", zero_outcome)
+        monkeypatch.setattr(Tableau, "optimize", zero_optimize)
         with pytest.raises(VerificationFailed):
             clp_feasible(two_fat, F(1))
 
@@ -439,10 +477,10 @@ class TestVerificationGates:
 
     def test_master_gate_survives_python_optimize(self):
         script = """
-            configlp.solve_lp = lambda lp: LpOutcome(
+            Tableau.optimize = lambda tableau: LpOutcome(
                 status=OPTIMAL,
-                primal=(Fraction(0),) * lp.num_vars,
-                dual=(Fraction(0),) * len(lp.rows),
+                primal=(Fraction(0),) * tableau.num_vars,
+                dual=(Fraction(0),) * tableau.num_rows,
                 objective=Fraction(0),
             )
             """
@@ -465,7 +503,7 @@ def _clp_under_python_optimize(patch: str) -> str:
         from fractions import Fraction
         from maxminfair import configlp, validate_instance
         from maxminfair.errors import VerificationFailed
-        from maxminfair.simplex import OPTIMAL, LpOutcome
+        from maxminfair.simplex import OPTIMAL, LpOutcome, Tableau
 
         assert not __debug__, "expected python -O"
         """

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -263,6 +264,34 @@ def test_normalize_round_trip(inst, target):
     # Cached attributes are not fields: equality, repr and JSON are unchanged.
     assert inst == fresh and repr(inst) == shown
     assert inst.to_json_dict() == fresh.to_json_dict()
+
+
+@given(instances(), st.fractions(min_value=0, max_value=10**6, max_denominator=10**6))
+def test_scaled_derives_scale_and_weight(inst, factor):
+    copy = inst.scaled(factor)
+    positive = [v.denominator for v in copy.value.values() if v > 0]
+    assert copy.scale == math.lcm(*positive)
+    assert copy.weight == {r: v * copy.scale for r, v in copy.value.items()}
+    assert all(type(w) is int for w in copy.weight.values())
+    with pytest.raises(ValueError, match="non-negative"):
+        inst.scaled(-factor - 1)
+
+
+def test_second_normalize_skips_the_value_lcm():
+    # 300 values 1/q, q distinct odd 1000-digit numbers: the first normalize
+    # pays for the instance's scale and weights, about 300,000 digits each;
+    # a later one at a new target derives the scaled copy's from them.
+    qs = [10**999 + 2 * k + 1 for k in range(300)]
+    inst = make_instance(
+        {f"r{k}": f"1/{q}" for k, q in enumerate(qs)},
+        {f"p{k}": [f"r{k}"] for k in range(300)},
+    )
+    normalize(inst, Fraction(1, qs[-1]))
+    start = time.perf_counter()
+    ni = normalize(inst, Fraction(2, 3 * qs[-1]))
+    assert time.perf_counter() - start < 0.5
+    assert ni.bound == -(-6 * ni.base.scale // 23)
+    assert len(ni.fat_resources) == 300
 
 
 @given(instances(), positive_rationals)

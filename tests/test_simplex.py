@@ -9,6 +9,7 @@ from maxminfair.simplex import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    Tableau,
     solve_lp,
     verify_outcome,
 )
@@ -218,6 +219,50 @@ def test_optimal_outcomes_verify_and_repeat(lp):
     assert solve_lp(lp) == out
     if out.status == OPTIMAL:
         assert verify_outcome(lp, out) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_lps(), st.data())
+def test_appended_columns_reach_the_full_optimum(lp, data):
+    # The ">=" rows' unit columns must be in the built prefix, so they go
+    # first; the rest arrive one or a few at a time, each followed by an
+    # optimize that resumes from the last basis.
+    units = [
+        j
+        for j in range(lp.num_vars)
+        if [(c[j], rel) for c, rel, _ in lp.rows if c[j]] == [(1, ">=")]
+    ]
+    order = units + [j for j in range(lp.num_vars) if j not in units]
+    full = LinearProgram.minimize(
+        [lp.objective[j] for j in order],
+        [([c[j] for j in order], rel, b) for c, rel, b in lp.rows],
+    )
+    k = data.draw(st.integers(len(units), full.num_vars))
+    tableau = Tableau(
+        LinearProgram.minimize(
+            full.objective[:k], [(c[:k], rel, b) for c, rel, b in full.rows]
+        )
+    )
+    out = tableau.optimize()
+    while k < full.num_vars:
+        step = data.draw(st.integers(1, full.num_vars - k))
+        for j in range(k, k + step):
+            tableau.append(full.objective[j], [c[j] for c, _, _ in full.rows])
+        k += step
+        out = tableau.optimize()
+    expected = solve_lp(full)
+    assert out.status == expected.status
+    assert out.objective == expected.objective
+    if out.status == OPTIMAL:
+        assert verify_outcome(full, out) == []
+
+
+def test_append_checks_its_column():
+    tableau = Tableau(LinearProgram.minimize([1], [([1], ">=", 1)]))
+    with pytest.raises(DimensionMismatch):
+        tableau.append(0, [1, 1])
+    with pytest.raises(TypeError, match="not an int"):
+        tableau.append(F(1, 2), [1])
 
 
 # ---------------------------------------------------------------------------
