@@ -38,8 +38,6 @@ from .matching import (
     find_addable_edge,
     find_perfect_matching,
     is_minimal_thin_edge,
-    make_fat_edge,
-    make_thin_edge,
     signature,
 )
 from .certificates import (
@@ -84,8 +82,6 @@ __all__ = [
     "find_addable_edge",
     "find_perfect_matching",
     "is_minimal_thin_edge",
-    "make_fat_edge",
-    "make_thin_edge",
     "signature",
     "DualCertificate",
     "check_blocker_balances",

@@ -1,11 +1,13 @@
 """Dual certificates extracted from stuck search states.
 
 When the local search halts with no addable edge and no removable blocker,
-prices built from the halted state prove that the normalized instance is
-infeasible at target 1: every active player is priced at 1 - 4/3 * (6/23) =
-15/23, covered fat resources likewise, and covered thin resources at
-min(value, 5/23).  The certificate is feasible for the configuration dual and
-has positive objective, so scaling it up makes the dual unbounded.
+prices built from the halted state prove that the instance is infeasible at
+the normalized instance's target.  The prices are in normalized units, where
+the target is 1: every active player is priced at 1 - 4/3 * (6/23) = 15/23,
+covered fat resources likewise, and covered thin resources at
+min(value/target, 5/23).  The certificate is feasible for the configuration
+dual at that target and has positive objective, so scaling it up makes the
+dual unbounded.
 
 Construction is never trusted, and each claim is checked once:
 `construct_dual_certificate` refuses a state that is not stuck;
@@ -23,11 +25,12 @@ from typing import Mapping, Optional
 
 from .configlp import BlockerGroup, DualCertificate, min_cost_configuration
 from .errors import StateNotStuck
-from .instances import NormalizedInstance, format_rational
+from .instances import GUARANTEE_FRACTION, NormalizedInstance, format_rational
 from .matching import SearchState, find_addable_edge
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ACTIVE_PRICE = 1 - Fraction(4, 3) * GUARANTEE_FRACTION
+_THIN_CAP = Fraction(5, 6) * GUARANTEE_FRACTION
 
 
 def assert_stuck(ni: NormalizedInstance, state: SearchState) -> None:
@@ -48,22 +51,20 @@ def assert_stuck(ni: NormalizedInstance, state: SearchState) -> None:
 def construct_dual_certificate(
     ni: NormalizedInstance, state: SearchState
 ) -> DualCertificate:
-    """Prices proving CLP(1) infeasible, computed from a stuck state."""
+    """Prices proving CLP(target) infeasible, computed from a stuck state."""
     assert_stuck(ni, state)
-    active_price = _ONE - Fraction(4, 3) * ni.threshold
-    thin_cap = Fraction(5, 6) * ni.threshold
     active = state.active
     covered = state.covered
 
-    y = {p: (active_price if p in active else _ZERO) for p in ni.base.players}
+    y = {p: (_ACTIVE_PRICE if p in active else _ZERO) for p in ni.base.players}
     z = {}
     for r in ni.base.resources:
         if r not in covered:
             z[r] = _ZERO
         elif ni.is_fat(r):
-            z[r] = active_price
+            z[r] = _ACTIVE_PRICE
         else:
-            z[r] = min(ni.value(r), thin_cap)
+            z[r] = min(ni.value(r), _THIN_CAP)
 
     player_index = ni.base.player_index
     groups = []
@@ -108,13 +109,15 @@ def verify_certificate_feasibility(
 ) -> FeasibilityReport:
     """Check y_p <= cost of the cheapest configuration at prices z, per player.
 
-    Players with no configuration at target 1 are vacuously satisfied and
-    reported with a None margin.
+    Configurations are priced on the instance itself at `ni.target`: the
+    same bundles, costs and tie order as on a copy scaled to target 1.
+    Players with no configuration are vacuously satisfied and reported with
+    a None margin.
     """
     margins: dict[str, Optional[Fraction]] = {}
     failures = []
     for p in ni.base.players:
-        priced = min_cost_configuration(ni.base, p, cert.z, _ONE)
+        priced = min_cost_configuration(ni.base, p, cert.z, ni.target)
         if priced is None:
             margins[p] = None
             continue
@@ -158,7 +161,6 @@ def check_blocker_balances(
     price plus the per-blocker balances; non-negative balances make it at
     least 15/23.
     """
-    active_price = _ONE - Fraction(4, 3) * ni.threshold
     failures = []
     balances = []
     for g in cert.blocker_groups:
@@ -174,11 +176,11 @@ def check_blocker_balances(
         failures.append(
             f"objective {objective} != root price + balances {decomposed}"
         )
-    if cert.y[state.root_player] != active_price:
+    if cert.y[state.root_player] != _ACTIVE_PRICE:
         failures.append("root player is not priced as active")
-    if objective < active_price:
+    if objective < _ACTIVE_PRICE:
         failures.append(
-            f"objective {objective} below the root price {active_price}"
+            f"objective {objective} below the root price {_ACTIVE_PRICE}"
         )
     return BalanceReport(
         passed=not failures,

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -90,9 +90,8 @@ class Instance:
     Immutable after construction; the input order of players and resources is
     the universal tie-breaking order used by every deterministic choice
     downstream.  `scale`, `weight` and `candidates` are computed on first
-    read and cached on the instance (a `scaled` copy gets its `scale` and
-    `weight` from the original's); they are not fields, so equality, `repr`
-    and the JSON form ignore them.
+    read and cached on the instance; they are not fields, so equality,
+    `repr` and the JSON form ignore them.
     """
 
     players: tuple[str, ...]
@@ -163,33 +162,6 @@ class Instance:
     def sorted_resources(self, bundle: Iterable[str]) -> list[str]:
         """Canonical (input-order) listing of a resource set."""
         return sorted(bundle, key=self.resource_index)
-
-    def scaled(self, factor: Fraction) -> "Instance":
-        """A copy with every resource value multiplied by `factor` >= 0.
-
-        The copy's `scale` and `weight` come from this instance's with one
-        `gcd` instead of a second LCM over the values.  With factor = a/c
-        and b = scale·c, a weight w becomes the value w·a/b.  The gcd G of
-        the positive weights is the gcd of the positive values' numerators,
-        because it shares no prime with `scale`.  So the new scale is b/g
-        with g = gcd(b, a·G), and each new weight is (w/G)·(a·G/g).
-        """
-        factor = Fraction(factor)
-        if factor < 0:
-            raise ValueError(f"scale factor must be non-negative, got {factor}")
-        copy = Instance(
-            players=self.players,
-            resources=self.resources,
-            value={r: v * factor for r, v in self.value.items()},
-            desire=self.desire,
-        )
-        a, b = factor.numerator, self.scale * factor.denominator
-        G = gcd(*(v.numerator for v in self.value.values() if v > 0))
-        g = gcd(b, a * G)
-        k = a * G // g
-        copy.__dict__["scale"] = b // g
-        copy.__dict__["weight"] = {r: w // G * k if w else 0 for r, w in self.weight.items()}
-        return copy
 
     def to_json_dict(self) -> dict:
         return {
@@ -296,20 +268,22 @@ def bundle_value(instance: Instance, player: str, bundle: Iterable[str]) -> Frac
 
 @dataclass(frozen=True)
 class NormalizedInstance:
-    """An instance rescaled so that the target value becomes 1.
+    """A view of `base` at `target`, in units where the target is 1.
 
-    Each desired resource is classified against the threshold 6/23: `fat`
-    resources reach it on their own, `thin` ones do not.  Desired resources of
-    value zero belong to neither class (they can never help reach the
-    threshold) but remain legal and may be handed out when completing an
-    allocation.  `fat[p]` lists p's fat resources by index and `thin[p]` its
-    thin ones by descending value, ties by index: the local search's order.
-    `bound` is the threshold in the units of `base.weight`, rounded up, so
-    an `int` total of weights reaches the threshold iff it reaches `bound`.
+    Nothing is copied: a resource's normalized value is its value over the
+    target.  Each desired resource is classified against the threshold
+    6/23 of the target: `fat` resources reach it on their own, `thin` ones
+    do not.  Desired resources of value zero belong to neither class (they
+    can never help reach the threshold) but remain legal and may be handed
+    out when completing an allocation.  `fat[p]` lists p's fat resources by
+    index and `thin[p]` its thin ones by descending value, ties by index:
+    the local search's order.  `bound` is ⌈(6/23)·target·base.scale⌉, the
+    threshold in the units of `base.weight`, so an `int` total of weights
+    reaches the threshold iff it reaches `bound`.
     """
 
     base: Instance
-    threshold: Fraction
+    target: Fraction
     fat: Mapping[str, tuple[str, ...]]
     thin: Mapping[str, tuple[str, ...]]
     fat_resources: frozenset[str]
@@ -319,26 +293,31 @@ class NormalizedInstance:
         return resource in self.fat_resources
 
     def value(self, resource: str) -> Fraction:
-        return self.base.value[resource]
+        """The resource's value in normalized units: value over target."""
+        return self.base.value[resource] / self.target
 
 
 def normalize(instance: Instance, target: Fraction) -> NormalizedInstance:
-    """Scale all values by 1/target and classify desired resources fat/thin."""
+    """View `instance` at `target`: classify desired resources fat/thin.
+
+    Σ weight >= bound exactly when Σ value/target >= 6/23, since a sum of
+    weights is an `int` and bound = ⌈(6/23)·target·scale⌉.
+    """
     target = Fraction(target)
     if target <= 0:
         raise InvalidTarget(f"target must be positive, got {target}")
-    scaled = instance.scaled(Fraction(1, 1) / target)
-    threshold = GUARANTEE_FRACTION
-    bound = -(-threshold.numerator * scaled.scale // threshold.denominator)
-    fat_order = [r for r in scaled.resources if scaled.weight[r] >= bound]
+    threshold = GUARANTEE_FRACTION * target
+    bound = -(-threshold.numerator * instance.scale // threshold.denominator)
+    weight = instance.weight
+    fat_order = [r for r in instance.resources if weight[r] >= bound]
     fat, thin = {}, {}
-    for p in scaled.players:  # tuple([...]): a resized tuple(<gen>) pins free lists
-        wanted = scaled.desired_by(p)
+    for p in instance.players:  # tuple([...]): a resized tuple(<gen>) pins free lists
+        wanted = instance.desired_by(p)
         fat[p] = tuple([r for r in fat_order if r in wanted])
-        thin[p] = tuple([r for r in scaled.candidates[p] if scaled.weight[r] < bound])
+        thin[p] = tuple([r for r in instance.candidates[p] if weight[r] < bound])
     return NormalizedInstance(
-        base=scaled,
-        threshold=threshold,
+        base=instance,
+        target=target,
         fat=fat,
         thin=thin,
         fat_resources=frozenset(fat_order),

@@ -170,20 +170,6 @@ class SearchState:
         return order
 
 
-def make_fat_edge(ni: NormalizedInstance, player: str, resource: str) -> Edge:
-    edge = Edge(player=player, bundle=frozenset({resource}), kind=FAT)
-    if not edge_in_hypergraph(ni, edge):
-        raise ValueError(f"{resource!r} is not a fat resource desired by {player!r}")
-    return edge
-
-
-def make_thin_edge(ni: NormalizedInstance, player: str, bundle: Iterable[str]) -> Edge:
-    bundle = frozenset(bundle)
-    if not is_minimal_thin_edge(ni, player, bundle):
-        raise ValueError(f"{sorted(bundle)} is not a minimal thin bundle for {player!r}")
-    return Edge(player=player, bundle=bundle, kind=THIN)
-
-
 def is_minimal_thin_edge(
     ni: NormalizedInstance, player: str, bundle: Iterable[str]
 ) -> bool:
@@ -376,9 +362,9 @@ def extend_matching(
 
     Alternates contraction (whenever a removable blocker exists) with
     building an addable edge.  Returns Stuck with the halted state when
-    neither move is available, which is possible only if the normalized
-    instance is infeasible at target 1.  `on_step` runs after every step,
-    e.g. to audit invariants.
+    neither move is available, which is possible only if the instance is
+    infeasible at the normalized instance's target.  `on_step` runs after
+    every step, e.g. to audit invariants.
     """
     state = SearchState(ni, matching, root_player)
     trace: list[TraceEvent] = []

@@ -24,6 +24,15 @@ def make_instance(values, desires, players=None):
     )
 
 
+def scaled_instance(instance, factor):
+    """A copy of `instance` with every value multiplied by `factor`, built
+    through `validate_instance` like any other instance."""
+    raw = instance.to_json_dict()
+    for entry in raw["resources"]:
+        entry["value"] = instance.value[entry["id"]] * Fraction(factor)
+    return validate_instance(raw)
+
+
 def run_python_optimize(*args):
     """Run `python -O *args` from the repository root on this checkout's package."""
     root = Path(__file__).resolve().parents[1]

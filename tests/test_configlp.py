@@ -31,7 +31,13 @@ from maxminfair.generators import KINDS
 from maxminfair.simplex import LinearProgram, Tableau, verify_outcome
 from maxminfair.oracle import enumerated_clp_feasible, exact_T_star_enumerated
 
-from conftest import make_instance, run_python_optimize, zero_optimize, zero_outcome
+from conftest import (
+    make_instance,
+    run_python_optimize,
+    scaled_instance,
+    zero_optimize,
+    zero_outcome,
+)
 
 F = Fraction
 
@@ -134,6 +140,8 @@ class TestMinCostConfiguration:
     def test_agrees_with_enumeration_at_certificate_prices(self):
         # Every player's pricing at a stuck state's certificate, on 6x14
         # instances at four times the ceiling, where the search always halts.
+        # The certificate is priced on the instance at the target; a copy
+        # scaled by 1/target, at target 1, has the same configurations.
         checked = 0
         for kind in KINDS:
             for seed in range(10):
@@ -145,10 +153,11 @@ class TestMinCostConfiguration:
                 out = find_perfect_matching(ni)
                 assert not out.perfect
                 cert = construct_dual_certificate(ni, out.state)
+                unit = scaled_instance(inst, 1 / ni.target)
                 for p in inst.players:
-                    assert min_cost_configuration(
-                        ni.base, p, cert.z, F(1)
-                    ) == enumerate_min_cost(ni.base, p, cert.z, F(1))
+                    priced = min_cost_configuration(ni.base, p, cert.z, ni.target)
+                    assert priced == enumerate_min_cost(inst, p, cert.z, ni.target)
+                    assert priced == enumerate_min_cost(unit, p, cert.z, F(1))
                     checked += 1
         assert checked == 180
 
@@ -358,7 +367,7 @@ class TestComputeTStar:
             inst = generate_instance("uniform", 3, 5, seed)
             base = compute_T_star(inst)
             for c in (F(3, 2), F(1, 3), F(7)):
-                scaled = compute_T_star(inst.scaled(c))
+                scaled = compute_T_star(scaled_instance(inst, c))
                 assert scaled == c * base
 
 

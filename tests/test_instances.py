@@ -181,7 +181,8 @@ class TestNormalize:
             {"a": "1/2", "b": "1/4", "c": "1/4"}, {"p": ["a", "b", "c"]}
         )
         ni = normalize(inst, Fraction(1))
-        assert ni.base.value["a"] == Fraction(1, 2)
+        assert ni.base is inst
+        assert ni.value("a") == Fraction(1, 2)
         assert ni.fat["p"] == ("a",)
         assert ni.thin["p"] == ("b", "c")
 
@@ -190,7 +191,8 @@ class TestNormalize:
             {"a": "1/2", "b": "1/4", "c": "1/4"}, {"p": ["a", "b", "c"]}
         )
         ni = normalize(inst, Fraction(2))
-        assert ni.base.value["a"] == Fraction(1, 4)
+        assert ni.base is inst
+        assert ni.value("a") == Fraction(1, 4)
         assert ni.fat["p"] == ()
         assert ni.thin["p"] == ("a", "b", "c")
 
@@ -244,43 +246,32 @@ def instances(draw, max_players=4, max_resources=6):
 def test_normalize_round_trip(inst, target):
     fresh, shown = validate_instance(inst.to_json_dict()), repr(inst)
     ni = normalize(inst, target)
+    assert ni.base is inst
     for r in inst.resources:
-        assert ni.base.value[r] * target == inst.value[r]
+        assert ni.value(r) * target == inst.value[r]
     # The integer values: one common denominator, each value exactly on it,
     # and each player's positive desired resources in search order.
-    for case in (inst, ni.base):
-        positive = [v.denominator for v in case.value.values() if v > 0]
-        assert case.scale == math.lcm(*positive)
-        for r in case.resources:
-            assert type(case.weight[r]) is int
-            assert case.weight[r] == case.value[r] * case.scale
-        for p in case.players:
-            assert case.candidates[p] == tuple(
-                sorted(
-                    (r for r in case.desired_by(p) if case.value[r] > 0),
-                    key=lambda r: (-case.value[r], case.resource_index(r)),
-                )
+    positive = [v.denominator for v in inst.value.values() if v > 0]
+    assert inst.scale == math.lcm(*positive)
+    for r in inst.resources:
+        assert type(inst.weight[r]) is int
+        assert inst.weight[r] == inst.value[r] * inst.scale
+    for p in inst.players:
+        assert inst.candidates[p] == tuple(
+            sorted(
+                (r for r in inst.desired_by(p) if inst.value[r] > 0),
+                key=lambda r: (-inst.value[r], inst.resource_index(r)),
             )
+        )
     # Cached attributes are not fields: equality, repr and JSON are unchanged.
     assert inst == fresh and repr(inst) == shown
     assert inst.to_json_dict() == fresh.to_json_dict()
 
 
-@given(instances(), st.fractions(min_value=0, max_value=10**6, max_denominator=10**6))
-def test_scaled_derives_scale_and_weight(inst, factor):
-    copy = inst.scaled(factor)
-    positive = [v.denominator for v in copy.value.values() if v > 0]
-    assert copy.scale == math.lcm(*positive)
-    assert copy.weight == {r: v * copy.scale for r, v in copy.value.items()}
-    assert all(type(w) is int for w in copy.weight.values())
-    with pytest.raises(ValueError, match="non-negative"):
-        inst.scaled(-factor - 1)
-
-
 def test_second_normalize_skips_the_value_lcm():
     # 300 values 1/q, q distinct odd 1000-digit numbers: the first normalize
     # pays for the instance's scale and weights, about 300,000 digits each;
-    # a later one at a new target derives the scaled copy's from them.
+    # a later one at a new target reads them from the instance.
     qs = [10**999 + 2 * k + 1 for k in range(300)]
     inst = make_instance(
         {f"r{k}": f"1/{q}" for k, q in enumerate(qs)},
@@ -288,9 +279,10 @@ def test_second_normalize_skips_the_value_lcm():
     )
     normalize(inst, Fraction(1, qs[-1]))
     start = time.perf_counter()
-    ni = normalize(inst, Fraction(2, 3 * qs[-1]))
+    target = Fraction(2, 3 * qs[-1])
+    ni = normalize(inst, target)
     assert time.perf_counter() - start < 0.5
-    assert ni.bound == -(-6 * ni.base.scale // 23)
+    assert ni.bound == math.ceil(6 * target * inst.scale / 23)
     assert len(ni.fat_resources) == 300
 
 
@@ -305,7 +297,7 @@ def test_fat_thin_partition(inst, target):
         )
         assert not set(ni.fat[p]) & set(ni.thin[p])
         for r in inst.desired_by(p):
-            assert (r in ni.fat[p]) == (ni.value(r) >= ni.threshold)
+            assert (r in ni.fat[p]) == (ni.value(r) >= GUARANTEE_FRACTION)
             if inst.value[r] > 0:
                 assert (r in ni.fat[p]) != (r in ni.thin[p])
             else:

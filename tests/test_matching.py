@@ -3,6 +3,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from maxminfair import (
     GUARANTEE_FRACTION,
@@ -19,8 +20,6 @@ from maxminfair import (
     find_perfect_matching,
     generate_instance,
     is_minimal_thin_edge,
-    make_fat_edge,
-    make_thin_edge,
     monitor_signatures,
     normalize,
     signature,
@@ -33,7 +32,7 @@ from maxminfair.errors import (
     PlayerAlreadyMatched,
     VerificationFailed,
 )
-from maxminfair.matching import FAT, INFINITY, THIN
+from maxminfair.matching import FAT, INFINITY, THIN, edge_in_hypergraph
 from maxminfair.oracle import check_state_invariants
 
 from conftest import make_instance, run_python_optimize
@@ -59,12 +58,12 @@ def random_addable_edge(ni, state, rng):
         thin = [r for r in ni.thin[q] if r not in state.covered]
         rng.shuffle(thin)
         chosen, total = [], F(0)
-        while thin and total < ni.threshold:
+        while thin and total < GUARANTEE_FRACTION:
             chosen.append(thin.pop())
             total += ni.value(chosen[-1])
-        if total >= ni.threshold:
+        if total >= GUARANTEE_FRACTION:
             for r in sorted(chosen, key=ni.value):
-                if total - ni.value(r) >= ni.threshold:
+                if total - ni.value(r) >= GUARANTEE_FRACTION:
                     chosen.remove(r)
                     total -= ni.value(r)
             edges.append(thin_edge(q, *chosen))
@@ -122,11 +121,9 @@ class TestMinimalThinEdge:
         inst = make_instance({"a": "1", "b": "1/10"}, {"p": ["a", "b"]})
         ni = normalize(inst, F(1))
         assert not is_minimal_thin_edge(ni, "p", {"a", "b"})
-        with pytest.raises(ValueError):
-            make_thin_edge(ni, "p", {"a", "b"})
-        with pytest.raises(ValueError):
-            make_fat_edge(ni, "p", "b")
-        assert make_fat_edge(ni, "p", "a") == fat_edge("p", "a")
+        assert not edge_in_hypergraph(ni, thin_edge("p", "a", "b"))
+        assert not edge_in_hypergraph(ni, fat_edge("p", "b"))
+        assert edge_in_hypergraph(ni, fat_edge("p", "a"))
 
     def test_below_threshold(self):
         inst = make_instance({"a": "1/10"}, {"p": ["a"]})
@@ -173,6 +170,76 @@ class TestFindAddableEdge:
         edge = find_addable_edge(ni, state)
         assert edge == thin_edge("p", "c", "d", "e")
         assert is_minimal_thin_edge(ni, "p", edge.bundle)
+
+
+# Values and targets with denominators up to 10^6.  A target drawn from the
+# boundary list puts a single value or a pair exactly on 6/23 of it.
+wide_values = st.fractions(min_value=0, max_value=3, max_denominator=10**6)
+wide_targets = st.fractions(min_value=F(1, 10**6), max_value=4, max_denominator=10**6)
+
+
+@given(st.data())
+def test_classification_at_any_target(data):
+    """Fat/thin membership, `is_minimal_thin_edge` and the first-fit edge
+    agree with their definitions over the values v/T against 6/23."""
+    n = data.draw(st.integers(1, 7), label="resources")
+    resources = [f"r{j}" for j in range(n)]
+    values = {r: data.draw(wide_values, label=r) for r in resources}
+    players = [f"p{i}" for i in range(data.draw(st.integers(1, 3), label="players"))]
+    desires = {p: sorted(data.draw(st.sets(st.sampled_from(resources)), label=p)) for p in players}
+    inst = make_instance(values, desires, players=players)
+    positive = sorted({v for v in values.values() if v > 0})
+    boundary = [(a + b) / GUARANTEE_FRACTION for a in positive for b in [F(0)] + positive]
+    target = data.draw(
+        st.one_of(wide_targets, st.sampled_from(boundary)) if boundary else wide_targets,
+        label="target",
+    )
+    ni = normalize(inst, target)
+    unit = {r: v / target for r, v in values.items()}
+
+    def is_fat(r):
+        return unit[r] >= GUARANTEE_FRACTION
+
+    def is_thin(r):
+        return 0 < unit[r] < GUARANTEE_FRACTION
+
+    for p in players:
+        wanted = inst.desired_by(p)
+        assert set(ni.fat[p]) == {r for r in wanted if is_fat(r)}
+        assert set(ni.thin[p]) == {r for r in wanted if is_thin(r)}
+        bundle = data.draw(st.sets(st.sampled_from(resources)), label=f"bundle of {p}")
+        total = sum((unit[r] for r in bundle), F(0))
+        minimal = (
+            bool(bundle)
+            and all(r in wanted and is_thin(r) for r in bundle)
+            and total >= GUARANTEE_FRACTION
+            and total - min(unit[r] for r in bundle) < GUARANTEE_FRACTION
+        )
+        assert is_minimal_thin_edge(ni, p, bundle) == minimal
+
+    state = SearchState(ni, Matching.empty(), players[0])
+    state.active_order = data.draw(st.permutations(players), label="active order")
+    state.covered = data.draw(st.sets(st.sampled_from(resources)), label="covered")
+    expected = None
+    for q in state.active_order:
+        free = [r for r in inst.desired_by(q) if r not in state.covered]
+        fat = sorted((r for r in free if is_fat(r)), key=inst.resource_index)
+        if fat:
+            expected = fat_edge(q, fat[0])
+            break
+        chosen, total = [], F(0)
+        for r in sorted(
+            (r for r in free if is_thin(r)), key=lambda r: (-unit[r], inst.resource_index(r))
+        ):
+            chosen.append(r)
+            total += unit[r]
+            if total >= GUARANTEE_FRACTION:
+                expected = thin_edge(q, *chosen)
+                break
+        if expected is not None:
+            break
+    assert find_addable_edge(ni, state) == expected
+
 
 class TestBuildStep:
     def test_blocked_build_activates(self, shared_single):
@@ -559,4 +626,4 @@ class TestInvariantsUnderFuzz:
             for edge in out.matching:
                 if edge.kind == THIN:
                     worth = sum(ni.value(r) for r in edge.bundle)
-                    assert ni.threshold <= worth < 2 * ni.threshold
+                    assert GUARANTEE_FRACTION <= worth < 2 * GUARANTEE_FRACTION
