@@ -8,8 +8,9 @@ achieved ratio never drops below 6/23.
 
 from fractions import Fraction
 
-from maxminfair import brute_force_opt, compute_T_star, generate_instance
+from maxminfair import compute_T_star, generate_instance
 from maxminfair.cli import solve
+from maxminfair.oracle import brute_force_opt
 
 BOUND = Fraction(23, 6)
 

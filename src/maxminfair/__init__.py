@@ -18,42 +18,15 @@ from .instances import (
     parse_rational,
     validate_instance,
 )
-from .configlp import (
-    ClpVerdict,
-    ConfigColumn,
-    clp_feasible,
-    compute_T_star,
-    min_cost_configuration,
-    subset_sum_breakpoints,
-)
-from .matching import (
-    Blocker,
-    Edge,
-    Matching,
-    SearchState,
-    build_step,
-    complete_allocation,
-    contract_step,
-    extend_matching,
-    find_addable_edge,
-    find_perfect_matching,
-    is_minimal_thin_edge,
-    signature,
-)
+from .configlp import compute_T_star
+from .matching import complete_allocation, find_perfect_matching
 from .certificates import (
     DualCertificate,
     check_blocker_balances,
     construct_dual_certificate,
     verify_certificate_feasibility,
 )
-from .oracle import (
-    AuditReport,
-    brute_force_opt,
-    check_state_invariants,
-    exact_T_star_enumerated,
-    monitor_signatures,
-    verify_allocation,
-)
+from .oracle import verify_allocation
 from .generators import generate_instance
 
 __all__ = [
@@ -65,33 +38,13 @@ __all__ = [
     "normalize",
     "parse_rational",
     "validate_instance",
-    "ClpVerdict",
-    "ConfigColumn",
-    "clp_feasible",
     "compute_T_star",
-    "min_cost_configuration",
-    "subset_sum_breakpoints",
-    "Blocker",
-    "Edge",
-    "Matching",
-    "SearchState",
-    "build_step",
-    "complete_allocation",
-    "contract_step",
-    "extend_matching",
-    "find_addable_edge",
     "find_perfect_matching",
-    "is_minimal_thin_edge",
-    "signature",
+    "complete_allocation",
     "DualCertificate",
-    "check_blocker_balances",
     "construct_dual_certificate",
     "verify_certificate_feasibility",
-    "AuditReport",
-    "brute_force_opt",
-    "check_state_invariants",
-    "exact_T_star_enumerated",
-    "monitor_signatures",
+    "check_blocker_balances",
     "verify_allocation",
     "generate_instance",
 ]

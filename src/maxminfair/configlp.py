@@ -6,13 +6,15 @@ resource is used more than once.  The engine works by column generation: a
 phase-1 master minimizes the total player shortfall over a growing column
 pool, and an exact min-cost-configuration search prices new columns.  The
 master is one live `simplex.Tableau` per `clp_feasible` call: each round
-appends its new columns and resumes pivoting from the last optimum.  When no
-improving column exists and the shortfall is positive, the master duals are a
-certified proof of infeasibility.  Each claim is checked once, never trusted,
-and a failure raises `VerificationFailed`: feasible weights are re-checked
-against both constraint families, infeasibility prices must have a positive
-objective, and their dual feasibility is checked by the last round itself,
-which priced every player at exactly those prices and found nothing cheaper.
+appends its new columns and resumes pivoting from the last optimum.  CLP(T)
+is feasible as soon as an optimum has zero shortfall, and the call returns
+there; pricing runs only at positive shortfall, where the master duals are a
+certified proof of infeasibility once no improving column exists.  Each
+claim is checked once, never trusted, and a failure raises
+`VerificationFailed`: feasible weights are re-checked against both
+constraint families, infeasibility prices must have a positive objective,
+and their dual feasibility is checked by the last round itself, which
+priced every player at exactly those prices and found nothing cheaper.
 
 The optimal target T* is the largest T at which CLP(T) is feasible.
 Feasibility only changes when the configuration sets change, i.e. at
@@ -223,10 +225,12 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
     per player) is built once, each round appends its improving columns to
     it, and the next round's pivots resume from the last optimum.
 
-    Feasible: a fractional solution satisfying both constraint families
-    exactly.  Infeasible: dual prices with positive objective, feasible
-    because the last round priced every player at them without finding an
-    improving column.
+    Feasible: as soon as an optimum has zero shortfall, its fractional
+    solution, re-checked exactly against both constraint families.  No
+    pricing round runs then, since prices only certify infeasibility.
+    Infeasible: at positive shortfall, dual prices with positive objective,
+    feasible because that round priced every player at them without finding
+    an improving column.
     """
     target = Fraction(target)
     if target < 0:
@@ -236,12 +240,32 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
     rows = [([int(k == i) for k in range(m)], ">=", 1) for i in range(m)]
     rows += [([0] * m, "<=", 1) for _ in instance.resources]
     master = Tableau(LinearProgram.minimize([1] * m, rows))
-    pool: list[ConfigColumn] = []
-    pooled: set[tuple[str, frozenset[str]]] = set()
+    # Each pooled column, in the order it entered, and its master variable
+    # (the variables are one shortfall per player, then the pool).
+    pool: dict[ConfigColumn, int] = {}
     while True:
         outcome = master.optimize()
         if outcome.status != OPTIMAL:  # the master always has the slack point
             raise VerificationFailed(f"master LP reported {outcome.status}")
+        if outcome.objective == 0:
+            solution = []
+            used: dict[str, Fraction] = {r: _ZERO for r in instance.resources}
+            received: dict[str, Fraction] = {p: _ZERO for p in instance.players}
+            for col, j in pool.items():
+                w = outcome.primal[j]
+                if w > 0:
+                    solution.append((col, w))
+                    received[col.player] += w
+                    for r in col.bundle:
+                        used[r] += w
+            # Exact re-check of both primal constraint families.
+            if not all(received[p] >= 1 for p in instance.players):
+                raise VerificationFailed("master solution leaves a player short")
+            if not all(used[r] <= 1 for r in instance.resources):
+                raise VerificationFailed("master solution overuses a resource")
+            return ClpVerdict(
+                status=FEASIBLE, solution=tuple(solution), transcript=tuple(pool)
+            )
         y = {
             p: outcome.dual[pi] for pi, p in enumerate(instance.players)
         }
@@ -249,71 +273,33 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
             r: -outcome.dual[m + ri]
             for ri, r in enumerate(instance.resources)
         }
-        improving: list[ConfigColumn] = []
+        pooled = len(pool)
         for p in instance.players:
             priced = min_cost_configuration(instance, p, z, target)
-            if priced is None:
+            if priced is None or priced[0] >= y[p]:
                 continue
             cost, bundle = priced
-            if cost < y[p]:
-                # A pooled column has non-negative reduced cost at the master
-                # optimum; re-adding one would loop column generation forever.
-                if (p, bundle) in pooled:
-                    raise VerificationFailed(
-                        f"pooled column {instance.sorted_resources(bundle)} of {p!r} "
-                        f"priced {cost} < {y[p]} again"
-                    )
-                improving.append(ConfigColumn(player=p, bundle=bundle))
-        if not improving:
-            return _final_verdict(instance, pool, outcome, y, z)
-        # Canonical (player, bundle) order keeps runs reproducible no matter
-        # how the per-player pricing was scheduled.
-        improving.sort(
-            key=lambda col: (
-                instance.player_index(col.player),
-                tuple(sorted(instance.resource_index(r) for r in col.bundle)),
-            )
-        )
-        for col in improving:
+            col = ConfigColumn(player=p, bundle=bundle)
+            # A pooled column has non-negative reduced cost at the master
+            # optimum; re-adding one would loop column generation forever.
+            if col in pool:
+                raise VerificationFailed(
+                    f"pooled column {instance.sorted_resources(bundle)} of {p!r} "
+                    f"priced {cost} < {y[p]} again"
+                )
             column = [0] * len(rows)
-            column[instance.player_index(col.player)] = 1
-            for r in col.bundle:
+            column[instance.player_index(p)] = 1
+            for r in bundle:
                 column[m + instance.resource_index(r)] = 1
             master.append(0, column)
-            pool.append(col)
-            pooled.add((col.player, col.bundle))
-
-
-def _final_verdict(instance, pool, outcome, y, z):
-    # The master's variables: one shortfall per player, then the pool.
-    m = len(instance.players)
-    shortfall = outcome.objective
-    if shortfall == 0:
-        solution = []
-        used: dict[str, Fraction] = {r: _ZERO for r in instance.resources}
-        received: dict[str, Fraction] = {p: _ZERO for p in instance.players}
-        for j, col in enumerate(pool):
-            w = outcome.primal[m + j]
-            if w > 0:
-                solution.append((col, w))
-                received[col.player] += w
-                for r in col.bundle:
-                    used[r] += w
-        # Exact re-check of both primal constraint families.
-        if not all(received[p] >= 1 for p in instance.players):
-            raise VerificationFailed("master solution leaves a player short")
-        if not all(used[r] <= 1 for r in instance.resources):
-            raise VerificationFailed("master solution overuses a resource")
-        return ClpVerdict(
-            status=FEASIBLE, solution=tuple(solution), transcript=tuple(pool)
-        )
-
-    prices = DualCertificate(y=dict(y), z=dict(z))
-    if prices.objective <= 0:
-        raise VerificationFailed(
-            f"infeasibility prices have objective {prices.objective} <= 0"
-        )
-    return ClpVerdict(status=INFEASIBLE, prices=prices, transcript=tuple(pool))
+            pool[col] = m + len(pool)
+        if len(pool) == pooled:
+            prices = DualCertificate(y=y, z=z)
+            if prices.objective <= 0:
+                raise VerificationFailed(
+                    f"infeasibility prices have objective {prices.objective} <= 0"
+                )
+            return ClpVerdict(status=INFEASIBLE, prices=prices, transcript=tuple(pool))
 
 
 def subset_sum_breakpoints(

@@ -213,13 +213,9 @@ def validate_instance(raw) -> Instance:
     value: dict[str, Fraction] = {}
     seen = set()
     for entry in raw_resources:
-        if isinstance(entry, Mapping):
-            rid, rawval = entry.get("id"), entry.get("value")
-        else:
-            try:
-                rid, rawval = entry  # (id, value) pairs are accepted programmatically
-            except (TypeError, ValueError):
-                raise InvalidInstance(f"malformed resource entry: {entry!r}") from None
+        if not isinstance(entry, Mapping):
+            raise InvalidInstance(f"malformed resource entry: {entry!r}")
+        rid, rawval = entry.get("id"), entry.get("value")
         if not isinstance(rid, str):
             raise InvalidInstance(f"resource id must be a string: {rid!r}")
         if rid in seen:

@@ -6,16 +6,21 @@ grows a chronological sequence of blockers: each blocker pairs a candidate
 edge with the matching edges currently occupying its resources.  A blocker
 with no blocking edges is contracted (its candidate enters the matching,
 freeing an earlier blocking edge and truncating the sequence); otherwise a new
-addable edge is built on top.  The analysis needs only some addable edge, so
-the search takes the first one in the order `normalize` stored each player's
-resources.  The signature of the blocker sequence strictly decreases
-lexicographically at every step, so each extension terminates.
+addable edge is built on top.  Only the top blocker can ever be removable: a
+build appends a blocker only when none is removable, and a contraction pops
+back to the activating blocker, the new top, and leaves the blockers below it
+as they were; so the search reads the top and never scans the sequence.  The
+analysis needs only some addable edge, so the search takes the first one in
+the order `normalize` stored each player's resources.  The signature of the
+blocker sequence strictly decreases lexicographically at every step, so each
+extension terminates.
 
 Each claim the search relies on is checked once, where it is relied on, and
 a failure raises `VerificationFailed`, which `python -O` does not strip:
 `extend_matching` checks the descent after every step, `build_step` that
 every blocking edge activates a new player, and `contract_step` that the
-contracted candidate's player has exactly one activator, placed before it.
+contracted candidate's player has exactly one activator (it lies below the
+top blocker, whose blocking set is empty).
 
 A search that halts with no addable edge and no removable blocker is returned
 as a first-class Stuck outcome: it happens exactly when the target exceeds
@@ -255,17 +260,19 @@ def build_step(state: SearchState, edge: Edge) -> SearchState:
 
 
 def contract_step(state: SearchState) -> Optional[Matching]:
-    """Contract the lowest-index removable blocker.
+    """Contract the top blocker, the only one that can be removable.
 
-    Returns the final matching when the candidate matches the root player;
-    otherwise swaps the candidate for the blocking edge that activated its
-    player, truncates the sequence after the activating blocker, and returns
-    None with the state updated in place.
+    A build appends a blocker only when none is removable, and a contraction
+    leaves the blockers below its activating blocker untouched, so every
+    blocker but the top keeps a blocking edge (`oracle.check_state_invariants`
+    audits this).  Returns the final matching when the candidate matches the
+    root player; otherwise swaps the candidate for the blocking edge that
+    activated its player, truncates the sequence after the activating
+    blocker, and returns None with the state updated in place.
     """
-    k = next((i for i, b in enumerate(state.blockers) if b.removable), None)
-    if k is None:
-        raise NoRemovableBlocker("every blocker still has blocking edges")
-    candidate = state.blockers[k].candidate
+    if not state.blockers or not state.blockers[-1].removable:
+        raise NoRemovableBlocker("the top blocker is missing or still blocked")
+    candidate = state.blockers[-1].candidate
     q = candidate.player
     if q == state.root_player:
         return state.matching.with_edge(candidate)
@@ -281,10 +288,6 @@ def contract_step(state: SearchState) -> Optional[Matching]:
             f"active player {q!r} has {len(activators)} activators, not one"
         )
     j, freed = activators[0]
-    if j >= k:
-        raise VerificationFailed(
-            f"blocker {k} is contracted before its activator {j}"
-        )
     state.matching = state.matching.replace(freed, candidate)
     kept = tuple(e for e in state.blockers[j].blocking if e is not freed)
     state.blockers[j] = Blocker(candidate=state.blockers[j].candidate, blocking=kept)
@@ -360,11 +363,11 @@ def extend_matching(
 ) -> ExtendOutcome:
     """Grow `matching` by one edge so that `root_player` becomes matched.
 
-    Alternates contraction (whenever a removable blocker exists) with
-    building an addable edge.  Returns Stuck with the halted state when
-    neither move is available, which is possible only if the instance is
-    infeasible at the normalized instance's target.  `on_step` runs after
-    every step, e.g. to audit invariants.
+    Alternates contraction (whenever the top blocker is removable, the only
+    one that can be) with building an addable edge.  Returns Stuck with the
+    halted state when neither move is available, which is possible only if
+    the instance is infeasible at the normalized instance's target.
+    `on_step` runs after every step, e.g. to audit invariants.
     """
     state = SearchState(ni, matching, root_player)
     trace: list[TraceEvent] = []
@@ -383,14 +386,12 @@ def extend_matching(
         )
 
     while True:
-        removable = next(
-            (i for i, b in enumerate(state.blockers) if b.removable), None
-        )
-        if removable is not None:
-            touched = state.blockers[removable].candidate
+        if state.blockers and state.blockers[-1].removable:
+            top = len(state.blockers) - 1
+            touched = state.blockers[top].candidate
             result = contract_step(state)
             if result is not None:
-                emit("terminate", touched.player, touched.bundle, removable)
+                emit("terminate", touched.player, touched.bundle, top)
                 if on_step is not None:
                     on_step(state)
                 return ExtendOutcome(
@@ -399,7 +400,7 @@ def extend_matching(
                     state=state,
                     trace=tuple(trace),
                 )
-            emit("contract", touched.player, touched.bundle, removable)
+            emit("contract", touched.player, touched.bundle, top)
         else:
             edge = find_addable_edge(ni, state)
             if edge is None:

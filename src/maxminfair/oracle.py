@@ -203,12 +203,12 @@ def check_state_invariants(
 ) -> AuditReport:
     """Audit a search state by direct recomputation.
 
-    Covers the three structural invariants of the blocker sequence (disjoint
+    Covers the structural invariants of the blocker sequence (disjoint
     candidate resources; blocking sets exact; blocking sets mutually disjoint
-    within the matching), matching validity, edge well-formedness (for a
-    thin edge, its minimality), agreement of the incremental covered/active
-    fields with recomputation, and uniqueness of each active player's
-    activator.
+    within the matching; no removable blocker below the top), matching
+    validity, edge well-formedness (for a thin edge, its minimality),
+    agreement of the incremental covered/active fields with recomputation,
+    and uniqueness of each active player's activator.
     """
     violations: list[Violation] = []
 
@@ -278,6 +278,10 @@ def check_state_invariants(
                 i,
                 j,
             )
+
+    for i, b in enumerate(blockers[:-1]):
+        if not b.blocking:
+            bad("removable-below-top", f"blocker {i} has no blocking edges", i)
 
     if state.covered != state.recompute_covered():
         bad("covered-recompute", "incremental covered set drifted")

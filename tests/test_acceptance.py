@@ -12,27 +12,32 @@ from fractions import Fraction
 import pytest
 
 from maxminfair import (
-    Edge,
-    Matching,
-    SearchState,
-    brute_force_opt,
-    build_step,
     check_blocker_balances,
     compute_T_star,
     construct_dual_certificate,
-    exact_T_star_enumerated,
-    extend_matching,
     find_perfect_matching,
     generate_instance,
-    monitor_signatures,
     normalize,
     parse_rational,
     verify_certificate_feasibility,
 )
 from maxminfair.cli import EXIT_OK, main
 from maxminfair.errors import BudgetExceeded
-from maxminfair.matching import FAT, INFINITY
-from maxminfair.oracle import check_state_invariants
+from maxminfair.matching import (
+    FAT,
+    INFINITY,
+    Edge,
+    Matching,
+    SearchState,
+    build_step,
+    extend_matching,
+)
+from maxminfair.oracle import (
+    brute_force_opt,
+    check_state_invariants,
+    exact_T_star_enumerated,
+    monitor_signatures,
+)
 
 from conftest import make_instance
 

@@ -4,18 +4,16 @@ import pytest
 
 from maxminfair import (
     DualCertificate,
-    Edge,
-    Matching,
     check_blocker_balances,
     compute_T_star,
     construct_dual_certificate,
-    extend_matching,
     find_perfect_matching,
     generate_instance,
     normalize,
     verify_certificate_feasibility,
 )
 from maxminfair.errors import StateNotStuck
+from maxminfair.matching import Edge, Matching, extend_matching
 from maxminfair.oracle import exact_T_star_enumerated
 
 from conftest import make_instance

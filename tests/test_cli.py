@@ -199,6 +199,15 @@ class TestSolve:
         bad.write_text(json.dumps({"players": ["p1"], "resources": 5}))
         assert main(["solve", "--instance", str(bad)]) == EXIT_INPUT
 
+    def test_string_resource_entries_rejected(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        raw = {"players": ["p"], "resources": ["a1", "b2"], "desires": {"p": ["a"]}}
+        bad.write_text(json.dumps(raw))
+        assert main(["solve", "--instance", str(bad)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed resource entry" in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [

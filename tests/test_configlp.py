@@ -8,19 +8,23 @@ from hypothesis import given, settings, strategies as st
 
 from maxminfair import (
     bundle_value,
-    clp_feasible,
     compute_T_star,
     configlp,
     construct_dual_certificate,
     find_perfect_matching,
     generate_instance,
-    min_cost_configuration,
     normalize,
     oracle,
-    subset_sum_breakpoints,
     validate_instance,
 )
-from maxminfair.configlp import FEASIBLE, INFEASIBLE, bracket_T_star
+from maxminfair.configlp import (
+    FEASIBLE,
+    INFEASIBLE,
+    bracket_T_star,
+    clp_feasible,
+    min_cost_configuration,
+    subset_sum_breakpoints,
+)
 from maxminfair.errors import (
     BudgetExceeded,
     InvalidTarget,
@@ -462,6 +466,48 @@ class TestVerificationGates:
             for seed in range(10):
                 compute_T_star(generate_instance(kind, 3, 6, seed))
         assert checked
+
+    def test_no_pricing_after_zero_shortfall(self, monkeypatch):
+        # Prices only certify infeasibility: an optimum with zero shortfall
+        # ends the call as feasible, with no pricing round after it.
+        events = []
+        optimize = Tableau.optimize
+        price = configlp.min_cost_configuration
+        probe = configlp.clp_feasible
+
+        def recording_optimize(tableau):
+            out = optimize(tableau)
+            events.append(("optimum", out.objective))
+            return out
+
+        def recording_price(*args):
+            events.append(("pricing", None))
+            return price(*args)
+
+        def recording_probe(instance, target):
+            verdict = probe(instance, target)
+            events.append(("verdict", verdict.status))
+            return verdict
+
+        monkeypatch.setattr(Tableau, "optimize", recording_optimize)
+        monkeypatch.setattr(configlp, "min_cost_configuration", recording_price)
+        monkeypatch.setattr(configlp, "clp_feasible", recording_probe)
+        for kind in KINDS:
+            for seed in range(10):
+                compute_T_star(generate_instance(kind, 3, 6, seed))
+        last_optimum = None
+        seen = {"pricing": 0, FEASIBLE: 0, INFEASIBLE: 0}
+        for kind, detail in events:
+            if kind == "optimum":
+                last_optimum = detail
+            elif kind == "pricing":
+                assert last_optimum != 0
+                seen["pricing"] += 1
+            else:
+                assert (last_optimum == 0) == (detail == FEASIBLE)
+                seen[detail] += 1
+                last_optimum = None
+        assert all(seen.values())
 
     def test_corrupted_master_raises(self, monkeypatch, two_fat):
         monkeypatch.setattr(Tableau, "optimize", zero_optimize)

@@ -1,7 +1,9 @@
-"""Checks that certified claims stay checked under `python -O`."""
+"""Guards on the package itself: checks that survive `python -O`, and its exports."""
 
 import ast
 from pathlib import Path
+
+import maxminfair
 
 from conftest import run_python_optimize
 
@@ -25,3 +27,28 @@ def test_acceptance_suite_passes_under_python_optimize():
         "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py"
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_exports_are_the_pipeline_and_verification_surface():
+    # Step-level names (edges, search states, the LP and oracle helpers)
+    # are imported from their modules, not from the package.
+    assert maxminfair.__all__ == [
+        "GUARANTEE_FRACTION",
+        "Instance",
+        "NormalizedInstance",
+        "bundle_value",
+        "format_rational",
+        "normalize",
+        "parse_rational",
+        "validate_instance",
+        "compute_T_star",
+        "find_perfect_matching",
+        "complete_allocation",
+        "DualCertificate",
+        "construct_dual_certificate",
+        "verify_certificate_feasibility",
+        "check_blocker_balances",
+        "verify_allocation",
+        "generate_instance",
+    ]
+    assert all(hasattr(maxminfair, name) for name in maxminfair.__all__)

@@ -142,6 +142,17 @@ class TestValidateInstance:
         with pytest.raises(InvalidInstance):
             validate_instance(raw)
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["a1", ["x", "1/2"], ("x", "1/2"), 7],
+        ids=["two-char-string", "list-pair", "tuple-pair", "int"],
+    )
+    def test_non_mapping_resource_entry_rejected(self, entry):
+        # A two-character string must not unpack into an id and a value.
+        raw = {"players": ["p"], "resources": [entry], "desires": {}}
+        with pytest.raises(InvalidInstance, match="malformed resource entry"):
+            validate_instance(raw)
+
     def test_ids_keep_input_order(self):
         inst = make_instance(
             {"z": "1", "a": "1"}, {"q": ["z"], "b": ["a"]}, players=["q", "b"]

@@ -7,22 +7,11 @@ from hypothesis import given, strategies as st
 
 from maxminfair import (
     GUARANTEE_FRACTION,
-    Blocker,
-    Edge,
-    Matching,
-    SearchState,
-    build_step,
     complete_allocation,
     compute_T_star,
-    contract_step,
-    extend_matching,
-    find_addable_edge,
     find_perfect_matching,
     generate_instance,
-    is_minimal_thin_edge,
-    monitor_signatures,
     normalize,
-    signature,
     verify_allocation,
 )
 from maxminfair.errors import (
@@ -32,8 +21,23 @@ from maxminfair.errors import (
     PlayerAlreadyMatched,
     VerificationFailed,
 )
-from maxminfair.matching import FAT, INFINITY, THIN, edge_in_hypergraph
-from maxminfair.oracle import check_state_invariants
+from maxminfair.matching import (
+    FAT,
+    INFINITY,
+    THIN,
+    Blocker,
+    Edge,
+    Matching,
+    SearchState,
+    build_step,
+    contract_step,
+    edge_in_hypergraph,
+    extend_matching,
+    find_addable_edge,
+    is_minimal_thin_edge,
+    signature,
+)
+from maxminfair.oracle import check_state_invariants, monitor_signatures
 
 from conftest import make_instance, run_python_optimize
 

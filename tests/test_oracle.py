@@ -3,22 +3,24 @@ from itertools import product
 
 import pytest
 
-from maxminfair import (
+from maxminfair import compute_T_star, generate_instance, normalize, verify_allocation
+from maxminfair.errors import BudgetExceeded, NotAPartition
+from maxminfair.matching import (
+    FAT,
+    INFINITY,
+    Blocker,
     Edge,
     Matching,
     SearchState,
-    brute_force_opt,
     build_step,
-    compute_T_star,
-    exact_T_star_enumerated,
-    generate_instance,
-    monitor_signatures,
-    normalize,
-    verify_allocation,
 )
-from maxminfair.errors import BudgetExceeded, NotAPartition
-from maxminfair.matching import FAT, INFINITY
-from maxminfair.oracle import check_state_invariants, enumerated_clp_feasible
+from maxminfair.oracle import (
+    brute_force_opt,
+    check_state_invariants,
+    enumerated_clp_feasible,
+    exact_T_star_enumerated,
+    monitor_signatures,
+)
 
 from conftest import make_instance
 
@@ -113,8 +115,6 @@ class TestCheckStateInvariants:
         state = SearchState(ni, Matching.of([matched]), "p2")
         build_step(state, Edge("p2", frozenset({"r"}), FAT))
         # Plant: the same matching edge blocks a second blocker.
-        from maxminfair.matching import Blocker
-
         state.blockers.append(
             Blocker(candidate=Edge("p2", frozenset({"s"}), FAT), blocking=(matched,))
         )
@@ -125,8 +125,6 @@ class TestCheckStateInvariants:
 
     def test_detects_candidate_overlap(self, shared_single):
         ni, state = self._fuzzed_state(shared_single)
-        from maxminfair.matching import Blocker
-
         # Plant: a second candidate reusing the covered resource.
         state.blockers.append(
             Blocker(candidate=Edge("p1", frozenset({"r"}), FAT), blocking=())
@@ -150,6 +148,21 @@ class TestCheckStateInvariants:
         report = check_state_invariants(ni, state)
         names = {v.invariant for v in report.violations}
         assert "blocking-exact" in names
+
+    def test_detects_removable_blocker_below_top(self):
+        # Plant: p2's candidate {s} is blocked by nothing, yet a blocked
+        # blocker was built on top of it; the search would have contracted.
+        inst = make_instance({"r": "1", "s": "1"}, {"p1": ["r", "s"], "p2": ["r", "s"]})
+        ni = normalize(inst, F(1))
+        matched = Edge("p1", frozenset({"r"}), FAT)
+        state = SearchState(ni, Matching.of([matched]), "p2")
+        state.blockers.append(Blocker(candidate=Edge("p2", frozenset({"s"}), FAT), blocking=()))
+        state.covered |= {"s"}
+        build_step(state, Edge("p2", frozenset({"r"}), FAT))
+        report = check_state_invariants(ni, state)
+        assert [(v.invariant, v.indices) for v in report.violations] == [
+            ("removable-below-top", (0,))
+        ]
 
 
 def sig(*entries):
