@@ -9,17 +9,26 @@ master is one live `simplex.Tableau` per `clp_feasible` call: each round
 appends its new columns and resumes pivoting from the last optimum.  CLP(T)
 is feasible as soon as an optimum has zero shortfall, and the call returns
 there; pricing runs only at positive shortfall, where the master duals are a
-certified proof of infeasibility once no improving column exists.  Each
-claim is checked once, never trusted, and a failure raises
+certified proof of infeasibility once no improving column exists.  A player
+whose dual is 0 is not priced: every cost is >= 0, so it never gains a
+column.  Each claim is checked once, never trusted, and a failure raises
 `VerificationFailed`: feasible weights are re-checked against both
-constraint families, infeasibility prices must have a positive objective,
-and their dual feasibility is checked by the last round itself, which
-priced every player at exactly those prices and found nothing cheaper.
+constraint families, infeasibility prices must have a positive objective
+and no negative resource price, and their dual feasibility is checked by
+the last round itself, which priced every player with a positive dual at
+exactly those prices and found nothing cheaper.
 
 The optimal target T* is the largest T at which CLP(T) is feasible.
 Feasibility only changes when the configuration sets change, i.e. at
 subset-sum values of some player's desired resources, so `compute_T_star`
-binary-searches those breakpoints.  Both the breakpoints and the pricing
+binary-searches those breakpoints, within two proven bounds.  No probe lies
+above the cap min(ceiling, wanted / m): above the smallest total desired
+value of a player, that player has no configuration, and CLP(T) needs m
+units of configurations worth >= T each from resources used at most once,
+so m·T is at most the total value `wanted` of the desired resources.  And a
+feasible probe lifts the lower end to its floor, the smallest value of a
+bundle its solution uses: the same solution is feasible there, and that
+value is a subset sum, so a breakpoint.  Both the breakpoints and the pricing
 read the instance's integer values (`Instance.weight`, over the one common
 denominator `Instance.scale`), so the only LCM computed here is the one of
 the prices.  When the breakpoints exceed the work budget (the per-player
@@ -29,6 +38,7 @@ and returns T* to a requested accuracy.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -184,6 +194,7 @@ def min_cost_configuration(
     # prunes nothing until the first covering bundle is found.
     best_cost = sum(costs) + 1
     best: Optional[int] = None
+    best_key: Optional[tuple] = None
     # Nodes are (next candidate, value, cost, bitmask of chosen candidates).
     # An int, not a tuple of positions: tuples of every length would fill the
     # interpreter's per-length free lists, which only a full collection frees.
@@ -195,8 +206,16 @@ def min_cost_configuration(
         if val >= goal:
             # Any extension only adds cost and lengthens the bundle, so this
             # node is the best completion of `chosen`.
-            if cost < best_cost or tie_key(chosen) < tie_key(best):
-                best_cost, best = cost, chosen
+            if cost < best_cost:
+                best_cost, best, best_key = cost, chosen, None
+                continue
+            # A tie on cost: the incumbent's key is computed once, on its
+            # first tie.
+            if best_key is None:
+                best_key = tie_key(best)
+            key = tie_key(chosen)
+            if key < best_key:
+                best, best_key = chosen, key
             continue
         # Every node on the stack can still reach the goal (val + suffix[i]
         # >= goal), so it is not a leaf.  Explore inclusion first (stack
@@ -229,8 +248,10 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
     solution, re-checked exactly against both constraint families.  No
     pricing round runs then, since prices only certify infeasibility.
     Infeasible: at positive shortfall, dual prices with positive objective,
-    feasible because that round priced every player at them without finding
-    an improving column.
+    feasible because that round priced every player with a positive dual y
+    at them without finding an improving column.  A player whose y is 0 is
+    not priced: no column costs less than 0, so its dual constraint holds
+    once the resource prices are checked non-negative.
     """
     target = Fraction(target)
     if target < 0:
@@ -275,6 +296,9 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
         }
         pooled = len(pool)
         for p in instance.players:
+            # Every cost is >= 0, so no column improves on y[p] = 0.
+            if y[p] == 0:
+                continue
             priced = min_cost_configuration(instance, p, z, target)
             if priced is None or priced[0] >= y[p]:
                 continue
@@ -299,6 +323,10 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
                 raise VerificationFailed(
                     f"infeasibility prices have objective {prices.objective} <= 0"
                 )
+            # A player skipped at y = 0 needs z >= 0, which pricing checks only
+            # in a round where it runs.
+            if min(z.values(), default=_ZERO) < 0:
+                raise NegativePrice("infeasibility prices price a resource below 0")
             return ClpVerdict(status=INFEASIBLE, prices=prices, transcript=tuple(pool))
 
 
@@ -341,16 +369,42 @@ def compute_T_star(
 
     Binary search over the subset-sum breakpoints, one `clp_feasible` probe
     per step; raises BudgetExceeded when the breakpoints exceed `budget`.
+    `points[lo]` is always proven feasible and every point above `hi` proven
+    infeasible, and two facts tighten the bracket without an LP:
+
+    - the cap: no probe lies above min(ceiling, wanted / m).  The ceiling is
+      the smallest total desired value of a player, who has no configuration
+      above it.  `wanted` is the total value of the resources someone
+      desires: CLP(T) puts m units of configurations worth >= T each on
+      resources used at most once, so m·T <= wanted.
+    - the floor jump: a feasible verdict's solution is also feasible at its
+      floor, the smallest value of a bundle it uses, since each such bundle
+      is a configuration there.  The floor is a subset sum of its player's
+      desired resources, so a breakpoint, and `lo` moves up to it.
     """
     points = subset_sum_breakpoints(instance, budget=budget)
-    lo, hi = 0, len(points) - 1
+    weight, m = instance.weight, len(instance.players)
+    desired = instance.candidates.values()
+    ceiling = min(sum(weight[r] for r in bundle) for bundle in desired)
+    wanted = sum(weight[r] for r in set().union(*desired))
+    cap = Fraction(min(m * ceiling, wanted), m * instance.scale)
     # CLP(0) is always feasible: the empty bundle is a configuration.
+    lo, hi = 0, bisect_right(points, cap) - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if clp_feasible(instance, points[mid]).feasible:
-            lo = mid
-        else:
+        verdict = clp_feasible(instance, points[mid])
+        if not verdict.feasible:
             hi = mid - 1
+            continue
+        floor = min(
+            bundle_value(instance, col.player, col.bundle)
+            for col, _ in verdict.solution
+        )
+        if floor < points[mid]:
+            raise VerificationFailed(
+                f"feasible solution at {points[mid]} uses a bundle worth {floor}"
+            )
+        lo = bisect_right(points, floor, mid, hi + 1) - 1
     return points[lo]
 
 

@@ -32,7 +32,13 @@ from maxminfair.errors import (
     VerificationFailed,
 )
 from maxminfair.generators import KINDS
-from maxminfair.simplex import LinearProgram, Tableau, verify_outcome
+from maxminfair.simplex import (
+    OPTIMAL,
+    LinearProgram,
+    LpOutcome,
+    Tableau,
+    verify_outcome,
+)
 from maxminfair.oracle import enumerated_clp_feasible, exact_T_star_enumerated
 
 from conftest import (
@@ -375,6 +381,109 @@ class TestComputeTStar:
                 assert scaled == c * base
 
 
+BOUND_GRID = [
+    (kind, n, 2 * n, seed) for kind in KINDS for n in (3, 4) for seed in range(10)
+]
+
+
+def value_cap(instance):
+    """min(smallest total desired value, total desired value / players)."""
+    ceiling = min(
+        bundle_value(instance, p, instance.desired_by(p)) for p in instance.players
+    )
+    wanted = set().union(*(instance.desired_by(p) for p in instance.players))
+    total = sum((instance.value[r] for r in wanted), F(0))
+    return min(ceiling, total / len(instance.players))
+
+
+def plain_T_star(points, feasible):
+    """Bisection over every breakpoint: T* and the number of probes."""
+    lo, hi, probes = 0, len(points) - 1, 0
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        probes += 1
+        if feasible(points[mid]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return points[lo], probes
+
+
+@pytest.fixture(scope="module")
+def bounded_searches():
+    """Each `BOUND_GRID` instance, its T* and the (target, verdict) probes of
+    `compute_T_star`."""
+    searches = []
+    probe = configlp.clp_feasible
+
+    def recording(instance, target):
+        verdict = probe(instance, target)
+        probes.append((target, verdict))
+        return verdict
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(configlp, "clp_feasible", recording)
+        for spec in BOUND_GRID:
+            instance, probes = generate_instance(*spec), []
+            searches.append((instance, compute_T_star(instance), probes))
+    return searches
+
+
+class TestTStarBounds:
+    def test_infeasible_above_cap(self, bounded_searches):
+        above = 0
+        for instance, _, _ in bounded_searches:
+            cap = value_cap(instance)
+            points = [t for t in subset_sum_breakpoints(instance) if t > cap]
+            if points:
+                above += 1
+                assert not clp_feasible(instance, points[0]).feasible
+        assert above
+
+    def test_feasible_at_floor(self, bounded_searches):
+        # A feasible probe proves its floor feasible, and no later probe of
+        # the search lies at or below that floor.
+        jumps = 0
+        for instance, _, probes in bounded_searches:
+            points = subset_sum_breakpoints(instance)
+            for k, (target, verdict) in enumerate(probes):
+                if not verdict.feasible:
+                    continue
+                floor = min(
+                    bundle_value(instance, col.player, col.bundle)
+                    for col, _ in verdict.solution
+                )
+                assert target <= floor and floor in points
+                assert clp_feasible(instance, floor).feasible
+                assert all(later > floor for later, _ in probes[k + 1 :])
+                jumps += floor > target
+        assert jumps
+
+    def test_floor_below_target_raises(self, monkeypatch, two_fat):
+        # A "feasible" verdict whose solution uses a bundle worth less than
+        # the probed target proves nothing about that target.
+        probe = configlp.clp_feasible
+        monkeypatch.setattr(
+            configlp, "clp_feasible", lambda instance, target: probe(instance, F(0))
+        )
+        with pytest.raises(VerificationFailed, match="uses a bundle worth"):
+            compute_T_star(two_fat)
+
+    def test_agrees_with_plain_bisection(self, bounded_searches):
+        bounded = plain = 0
+        for instance, t_star, probes in bounded_searches:
+            points = subset_sum_breakpoints(instance)
+            expected, count = plain_T_star(
+                points, lambda t: clp_feasible(instance, t).feasible
+            )
+            assert t_star == expected
+            cap = value_cap(instance)
+            assert all(target <= cap for target, _ in probes)
+            bounded += len(probes)
+            plain += count
+        assert bounded < plain
+
+
 class TestProperties:
     def test_anti_monotone_feasibility(self):
         for seed in range(8):
@@ -429,6 +538,37 @@ def master_lp(instance, pool):
     return LinearProgram.minimize([1] * m + [0] * len(pool), rows)
 
 
+def record_T_star_search(monkeypatch, specs):
+    """`compute_T_star` on each generated instance of `specs`, recording in
+    order each master optimum ("optimum", outcome), each pricing call
+    ("pricing", (instance, player)) and each verdict ("verdict", status)."""
+    events = []
+    optimize = Tableau.optimize
+    price = configlp.min_cost_configuration
+    probe = configlp.clp_feasible
+
+    def recording_optimize(tableau):
+        out = optimize(tableau)
+        events.append(("optimum", out))
+        return out
+
+    def recording_price(instance, player, prices, target):
+        events.append(("pricing", (instance, player)))
+        return price(instance, player, prices, target)
+
+    def recording_probe(instance, target):
+        verdict = probe(instance, target)
+        events.append(("verdict", verdict.status))
+        return verdict
+
+    monkeypatch.setattr(Tableau, "optimize", recording_optimize)
+    monkeypatch.setattr(configlp, "min_cost_configuration", recording_price)
+    monkeypatch.setattr(configlp, "clp_feasible", recording_probe)
+    for spec in specs:
+        compute_T_star(generate_instance(*spec))
+    return events
+
+
 class TestVerificationGates:
     def test_every_master_lp_verifies(self, monkeypatch):
         # Every round of every probe: the live master's outcome must be the
@@ -470,36 +610,14 @@ class TestVerificationGates:
     def test_no_pricing_after_zero_shortfall(self, monkeypatch):
         # Prices only certify infeasibility: an optimum with zero shortfall
         # ends the call as feasible, with no pricing round after it.
-        events = []
-        optimize = Tableau.optimize
-        price = configlp.min_cost_configuration
-        probe = configlp.clp_feasible
-
-        def recording_optimize(tableau):
-            out = optimize(tableau)
-            events.append(("optimum", out.objective))
-            return out
-
-        def recording_price(*args):
-            events.append(("pricing", None))
-            return price(*args)
-
-        def recording_probe(instance, target):
-            verdict = probe(instance, target)
-            events.append(("verdict", verdict.status))
-            return verdict
-
-        monkeypatch.setattr(Tableau, "optimize", recording_optimize)
-        monkeypatch.setattr(configlp, "min_cost_configuration", recording_price)
-        monkeypatch.setattr(configlp, "clp_feasible", recording_probe)
-        for kind in KINDS:
-            for seed in range(10):
-                compute_T_star(generate_instance(kind, 3, 6, seed))
+        events = record_T_star_search(
+            monkeypatch, [(kind, 3, 6, seed) for kind in KINDS for seed in range(10)]
+        )
         last_optimum = None
         seen = {"pricing": 0, FEASIBLE: 0, INFEASIBLE: 0}
         for kind, detail in events:
             if kind == "optimum":
-                last_optimum = detail
+                last_optimum = detail.objective
             elif kind == "pricing":
                 assert last_optimum != 0
                 seen["pricing"] += 1
@@ -508,6 +626,37 @@ class TestVerificationGates:
                 seen[detail] += 1
                 last_optimum = None
         assert all(seen.values())
+
+    def test_no_pricing_at_zero_dual(self, monkeypatch):
+        # Every cost is >= 0, so a player whose dual y is 0 can never gain a
+        # column: only players with a positive dual in the latest optimum are
+        # priced.
+        events = record_T_star_search(monkeypatch, BOUND_GRID)
+        last_optimum, priced = None, 0
+        for kind, detail in events:
+            if kind == "optimum":
+                last_optimum = detail
+            elif kind == "pricing":
+                instance, player = detail
+                assert last_optimum.dual[instance.player_index(player)] > 0
+                priced += 1
+        assert priced
+
+    def test_negative_prices_unpriced_round_raises(self, monkeypatch, two_fat):
+        # Every y is 0, so no player is priced, and the positive objective
+        # comes from a negative resource price alone.
+        monkeypatch.setattr(
+            Tableau,
+            "optimize",
+            lambda tableau: LpOutcome(
+                status=OPTIMAL,
+                primal=(F(0),) * tableau.num_vars,
+                dual=(F(0), F(0), F(1), F(0)),
+                objective=F(1),
+            ),
+        )
+        with pytest.raises(NegativePrice):
+            clp_feasible(two_fat, F(1))
 
     def test_corrupted_master_raises(self, monkeypatch, two_fat):
         monkeypatch.setattr(Tableau, "optimize", zero_optimize)
