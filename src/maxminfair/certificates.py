@@ -53,7 +53,7 @@ def construct_dual_certificate(
 ) -> DualCertificate:
     """Prices proving CLP(target) infeasible, computed from a stuck state."""
     assert_stuck(ni, state)
-    active = state.active
+    active = set(state.active_order)
     covered = state.covered
 
     y = {p: (_ACTIVE_PRICE if p in active else _ZERO) for p in ni.base.players}
@@ -66,12 +66,9 @@ def construct_dual_certificate(
         else:
             z[r] = min(ni.value(r), _THIN_CAP)
 
-    player_index = ni.base.player_index
     groups = []
     for i, b in enumerate(state.blockers):
-        players = tuple(
-            sorted((e.player for e in b.blocking), key=player_index)
-        )
+        players = tuple([e.player for e in b.blocking])  # by index, see `Blocker`
         resources = set(b.candidate.bundle)
         for e in b.blocking:
             resources |= e.bundle

@@ -157,10 +157,10 @@ def cmd_solve(args) -> int:
     search = result.search
 
     if args.trace:
-        extensions = () if search is None else search.extensions
+        traces = () if search is None else search.traces
         with open(args.trace, "w", encoding="utf-8") as handle:
-            for ext_index, ext in enumerate(extensions):
-                for ev in ext.trace:
+            for ext_index, trace in enumerate(traces):
+                for ev in trace:
                     row = ev.to_json_dict()
                     row["extension"] = ext_index
                     handle.write(json.dumps(row) + "\n")

@@ -362,6 +362,13 @@ def subset_sum_breakpoints(
     return [Fraction(s, instance.scale) for s in sorted(seen)]
 
 
+def _ceiling(instance: Instance) -> int:
+    """The smallest total desired value of a player, in `weight` units; no
+    configuration exists above it."""
+    weight = instance.weight
+    return min(sum(weight[r] for r in c) for c in instance.candidates.values())
+
+
 def compute_T_star(
     instance: Instance, *, budget: int = DEFAULT_BREAKPOINT_BUDGET
 ) -> Fraction:
@@ -384,10 +391,8 @@ def compute_T_star(
     """
     points = subset_sum_breakpoints(instance, budget=budget)
     weight, m = instance.weight, len(instance.players)
-    desired = instance.candidates.values()
-    ceiling = min(sum(weight[r] for r in bundle) for bundle in desired)
-    wanted = sum(weight[r] for r in set().union(*desired))
-    cap = Fraction(min(m * ceiling, wanted), m * instance.scale)
+    wanted = sum(weight[r] for r in set().union(*instance.candidates.values()))
+    cap = Fraction(min(m * _ceiling(instance), wanted), m * instance.scale)
     # CLP(0) is always feasible: the empty bundle is a configuration.
     lo, hi = 0, bisect_right(points, cap) - 1
     while lo < hi:
@@ -417,9 +422,7 @@ def bracket_T_star(instance: Instance, delta: Fraction) -> Fraction:
     delta = Fraction(delta)
     if delta <= 0:
         raise InvalidTarget(f"delta must be positive, got {delta}")
-    ceiling = min(
-        bundle_value(instance, p, instance.desired_by(p)) for p in instance.players
-    )
+    ceiling = Fraction(_ceiling(instance), instance.scale)
     lo, hi = _ZERO, ceiling + 1  # hi exceeds every feasible target
     while hi - lo > delta:
         mid = (lo + hi) / 2

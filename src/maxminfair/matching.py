@@ -25,7 +25,9 @@ top blocker, whose blocking set is empty).
 A search that halts with no addable edge and no removable blocker is returned
 as a first-class Stuck outcome: it happens exactly when the target exceeds
 the configuration-LP optimum, and the stuck state is the raw material for an
-infeasibility certificate (see `certificates`).
+infeasibility certificate (see `certificates`).  A finished search keeps each
+fact once: the final matching or the stuck state, and one trace per
+extension run; the states and matchings of earlier runs are dropped.
 """
 
 from __future__ import annotations
@@ -118,7 +120,11 @@ class Matching:
 
 @dataclass(frozen=True)
 class Blocker:
-    """A candidate edge plus the matching edges keeping it out."""
+    """A candidate edge plus the matching edges keeping it out.
+
+    `blocking` lists the edges by player index: `build_step` sorts them, and
+    `contract_step` only ever drops one, so the order is kept.
+    """
 
     candidate: Edge
     blocking: tuple[Edge, ...]
@@ -131,9 +137,10 @@ class Blocker:
 class SearchState:
     """Mutable state of one extension run: matching, blockers, coverage.
 
-    `covered` and the activation order are maintained incrementally by the
-    step functions but are always recomputable from the blocker sequence;
-    `oracle.check_state_invariants` compares both forms.
+    `covered` and the activation order are derived from the blocker
+    sequence: a build extends them, a contraction rebuilds them from the
+    kept blockers.  `oracle.check_state_invariants` recomputes both from
+    their definitions and compares.
     """
 
     def __init__(
@@ -152,27 +159,8 @@ class SearchState:
         self.covered: set[str] = set()
         self.active_order: list[str] = [root_player]
 
-    @property
-    def active(self) -> frozenset[str]:
-        return frozenset(self.active_order)
-
     def is_active(self, player: str) -> bool:
         return player in self.active_order
-
-    def recompute_covered(self) -> set[str]:
-        out: set[str] = set()
-        for b in self.blockers:
-            out |= b.candidate.bundle
-            for e in b.blocking:
-                out |= e.bundle
-        return out
-
-    def recompute_active_order(self) -> list[str]:
-        index = self.normalized.base.player_index
-        order = [self.root_player]
-        for b in self.blockers:
-            order.extend(sorted((e.player for e in b.blocking), key=index))
-        return order
 
 
 def is_minimal_thin_edge(
@@ -292,14 +280,20 @@ def contract_step(state: SearchState) -> Optional[Matching]:
     kept = tuple(e for e in state.blockers[j].blocking if e is not freed)
     state.blockers[j] = Blocker(candidate=state.blockers[j].candidate, blocking=kept)
     del state.blockers[j + 1 :]
-    state.covered = state.recompute_covered()
-    state.active_order = state.recompute_active_order()
+    covered, order = set(), [state.root_player]
+    for b in state.blockers:
+        covered |= b.candidate.bundle
+        for e in b.blocking:
+            covered |= e.bundle
+            order.append(e.player)
+    state.covered, state.active_order = covered, order
     return None
 
 
 def signature(state: SearchState) -> tuple:
     """Blocking-set sizes, then an infinite sentinel; tuples order lexicographically."""
-    return tuple(len(b.blocking) for b in state.blockers) + (INFINITY,)
+    # Exact size: a tuple(<gen>) temporary would pin the tuple free lists.
+    return (*[len(b.blocking) for b in state.blockers], INFINITY)
 
 
 @dataclass(frozen=True)
@@ -324,6 +318,14 @@ class TraceEvent:
         }
 
 
+def trace_signatures(trace: Iterable[TraceEvent]) -> tuple[tuple, ...]:
+    """Signature sequence of a run: initial state, then every state change
+    (terminal events do not alter the blocker sequence)."""
+    return ((INFINITY,),) + tuple(
+        ev.signature for ev in trace if ev.kind in ("build", "contract")
+    )
+
+
 @dataclass(frozen=True)
 class ExtendOutcome:
     status: str  # extended | stuck
@@ -336,22 +338,8 @@ class ExtendOutcome:
         return self.status == "extended"
 
     @property
-    def builds(self) -> int:
-        return sum(1 for ev in self.trace if ev.kind == "build")
-
-    @property
-    def contracts(self) -> int:
-        return sum(1 for ev in self.trace if ev.kind in ("contract", "terminate"))
-
-    @property
     def signatures(self) -> tuple[tuple, ...]:
-        """Signature sequence of the run: initial state, then every state
-        change (terminal events do not alter the blocker sequence)."""
-        seq = [(INFINITY,)]
-        for ev in self.trace:
-            if ev.kind in ("build", "contract"):
-                seq.append(ev.signature)
-        return tuple(seq)
+        return trace_signatures(self.trace)
 
 
 def extend_matching(
@@ -394,20 +382,13 @@ def extend_matching(
                 emit("terminate", touched.player, touched.bundle, top)
                 if on_step is not None:
                     on_step(state)
-                return ExtendOutcome(
-                    status="extended",
-                    matching=result,
-                    state=state,
-                    trace=tuple(trace),
-                )
+                return ExtendOutcome("extended", result, state, tuple(trace))
             emit("contract", touched.player, touched.bundle, top)
         else:
             edge = find_addable_edge(ni, state)
             if edge is None:
                 emit("stuck", None, None, None)
-                return ExtendOutcome(
-                    status="stuck", matching=None, state=state, trace=tuple(trace)
-                )
+                return ExtendOutcome("stuck", None, state, tuple(trace))
             build_step(state, edge)
             emit("build", edge.player, edge.bundle, len(state.blockers) - 1)
         if on_step is not None:
@@ -425,10 +406,13 @@ def extend_matching(
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """The final matching (if perfect) or the stuck state, and one trace per
+    extension run, in player order."""
+
     status: str  # perfect | stuck
     matching: Optional[Matching]
     state: Optional[SearchState]
-    extensions: tuple[ExtendOutcome, ...]
+    traces: tuple[tuple[TraceEvent, ...], ...]
 
     @property
     def perfect(self) -> bool:
@@ -436,11 +420,13 @@ class SearchOutcome:
 
     @property
     def builds(self) -> int:
-        return sum(e.builds for e in self.extensions)
+        return sum(ev.kind == "build" for trace in self.traces for ev in trace)
 
     @property
     def contracts(self) -> int:
-        return sum(e.contracts for e in self.extensions)
+        return sum(
+            ev.kind in ("contract", "terminate") for trace in self.traces for ev in trace
+        )
 
 
 def find_perfect_matching(
@@ -450,24 +436,14 @@ def find_perfect_matching(
 ) -> SearchOutcome:
     """Match every player by repeated extension, or surface the first Stuck state."""
     matching = Matching.empty()
-    extensions: list[ExtendOutcome] = []
+    traces = []
     for p in ni.base.players:
         outcome = extend_matching(ni, matching, p, on_step=on_step)
-        extensions.append(outcome)
+        traces.append(outcome.trace)
         if not outcome.extended:
-            return SearchOutcome(
-                status="stuck",
-                matching=None,
-                state=outcome.state,
-                extensions=tuple(extensions),
-            )
+            return SearchOutcome("stuck", None, outcome.state, tuple(traces))
         matching = outcome.matching
-    return SearchOutcome(
-        status="perfect",
-        matching=matching,
-        state=None,
-        extensions=tuple(extensions),
-    )
+    return SearchOutcome("perfect", matching, None, tuple(traces))
 
 
 def complete_allocation(

@@ -3,21 +3,24 @@
 Everything here is deliberately redundant with the solver modules and kept
 free of their machinery: the integral optimum comes from enumerating
 assignments, the optimal LP target from explicitly enumerated configuration
-columns, and the search-state checks recompute every set from scratch.
+columns, and the search-state checks recompute every set from scratch and
+test edges against their definition in `Fraction`s.  Of `matching` only the
+state type, the sentinel and the edge-kind names are read.
 Budgets are hard limits; exceeding one raises instead of approximating, so a
 passing oracle is always trustworthy.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, NotAPartition, VerificationFailed
-from .instances import Instance, NormalizedInstance, bundle_value
-from .matching import INFINITY, SearchState, edge_in_hypergraph
+from .instances import GUARANTEE_FRACTION, Instance, NormalizedInstance, bundle_value
+from .matching import FAT, INFINITY, THIN, SearchState
 from .simplex import LinearProgram, solve_lp, verify_outcome
 
 _ZERO = Fraction(0)
@@ -198,6 +201,22 @@ def exact_T_star_enumerated(
     return points[lo]
 
 
+def _is_edge(ni: NormalizedInstance, edge) -> bool:
+    """A fat edge is one desired resource worth >= 6/23; a thin edge is a
+    set of desired resources each worth in (0, 6/23), reaching 6/23 in total
+    and falling below it without its smallest member (values over target)."""
+    desired = ni.base.desire.get(edge.player, frozenset())
+    if not edge.bundle or not edge.bundle <= desired:
+        return False
+    values = [ni.value(r) for r in edge.bundle]
+    if edge.kind == FAT:
+        return len(values) == 1 and values[0] >= GUARANTEE_FRACTION
+    if edge.kind != THIN or not all(0 < v < GUARANTEE_FRACTION for v in values):
+        return False
+    total = sum(values, _ZERO)
+    return total >= GUARANTEE_FRACTION and total - min(values) < GUARANTEE_FRACTION
+
+
 def check_state_invariants(
     ni: NormalizedInstance, state: SearchState
 ) -> AuditReport:
@@ -229,12 +248,12 @@ def check_state_invariants(
         bad("root-unmatched", f"root {state.root_player!r} is matched")
 
     for e in matching_edges:
-        if not edge_in_hypergraph(ni, e):
+        if not _is_edge(ni, e):
             bad("edge-valid", f"matching edge {e} is not a hypergraph edge")
 
     blockers = state.blockers
     for i, b in enumerate(blockers):
-        if not edge_in_hypergraph(ni, b.candidate):
+        if not _is_edge(ni, b.candidate):
             bad("edge-valid", f"candidate of blocker {i} is invalid", i)
 
     for i, j in combinations(range(len(blockers)), 2):
@@ -283,15 +302,16 @@ def check_state_invariants(
         if not b.blocking:
             bad("removable-below-top", f"blocker {i} has no blocking edges", i)
 
-    if state.covered != state.recompute_covered():
+    covered = {r for b in blockers for e in (b.candidate, *b.blocking) for r in e.bundle}
+    if state.covered != covered:
         bad("covered-recompute", "incremental covered set drifted")
-    if state.active_order != state.recompute_active_order():
+    order = [state.root_player]
+    for b in blockers:
+        order += sorted((e.player for e in b.blocking), key=ni.base.player_index)
+    if state.active_order != order:
         bad("active-recompute", "incremental activation order drifted")
 
-    activators: dict[str, int] = {}
-    for i, b in enumerate(blockers):
-        for e in b.blocking:
-            activators[e.player] = activators.get(e.player, 0) + 1
+    activators = Counter(e.player for b in blockers for e in b.blocking)
     for p, count in activators.items():
         if count != 1:
             bad("unique-activator", f"player {p!r} activated by {count} blockers")

@@ -31,6 +31,7 @@ from maxminfair.matching import (
     SearchState,
     build_step,
     extend_matching,
+    trace_signatures,
 )
 from maxminfair.oracle import (
     brute_force_opt,
@@ -152,9 +153,9 @@ def test_criterion_4_certificate_soundness(corpus):
             failures.append(f"seed {entry.seed}: objective {cert.objective} < 15/23")
         if not exact_T_star_enumerated(entry.instance, budget=2**14) < target:
             failures.append(f"seed {entry.seed}: stuck target not beyond T*")
-        for ext in outcome.extensions:
+        for trace in outcome.traces:
             report = monitor_signatures(
-                ext.signatures, entry.instance.num_players
+                trace_signatures(trace), entry.instance.num_players
             )
             if not report.passed:
                 failures.append(f"seed {entry.seed}: stuck-run signatures broken")
@@ -243,13 +244,13 @@ def test_criterion_6_termination(corpus):
         ni = normalize(entry.instance, entry.t_star)
         outcome = find_perfect_matching(ni)
         m = entry.instance.num_players
-        for ext in outcome.extensions:
-            report = monitor_signatures(ext.signatures, m)
+        for trace in outcome.traces:
+            report = monitor_signatures(trace_signatures(trace), m)
             if not report.passed:
                 failures.append(f"seed {entry.seed}: {report.violations[:1]}")
-            if len(ext.signatures) > ceilings[m]:
+            if len(trace_signatures(trace)) > ceilings[m]:
                 failures.append(
-                    f"seed {entry.seed}: {len(ext.signatures)} signatures exceed "
+                    f"seed {entry.seed}: {len(trace_signatures(trace))} signatures exceed "
                     f"the ceiling {ceilings[m]} for m={m}"
                 )
     conclude(6, "signature descent and step ceiling", failures)
@@ -347,8 +348,8 @@ def test_criterion_8_worked_micro_traces(two_fat, thin_chain, shared_single):
     ni = normalize(shared_single, F(1))
     outcome = find_perfect_matching(ni)
     expect("stuck status", outcome.status, "stuck")
-    stuck_ext = outcome.extensions[-1]
-    steps = [(ev.kind, ev.player, ev.bundle, ev.blocker_index) for ev in stuck_ext.trace]
+    stuck_trace = outcome.traces[-1]
+    steps = [(ev.kind, ev.player, ev.bundle, ev.blocker_index) for ev in stuck_trace]
     expect(
         "stuck steps",
         steps,

@@ -52,3 +52,22 @@ def test_exports_are_the_pipeline_and_verification_surface():
         "generate_instance",
     ]
     assert all(hasattr(maxminfair, name) for name in maxminfair.__all__)
+
+
+def test_oracle_reads_only_the_state_and_names_of_matching():
+    # The oracle is ground truth for the search, so it re-derives edges,
+    # coverage and the activation order instead of calling the solver's.
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("matching")
+        for alias in node.names
+    }
+    assert imported <= {"SearchState", "INFINITY", "FAT", "THIN"}
+    assert not any(
+        alias.name.endswith("matching")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    )

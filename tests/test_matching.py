@@ -1,5 +1,7 @@
+import gc
 import random
 import textwrap
+import types
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from maxminfair import (
     GUARANTEE_FRACTION,
+    bundle_value,
     complete_allocation,
     compute_T_star,
     find_perfect_matching,
@@ -14,6 +17,7 @@ from maxminfair import (
     normalize,
     verify_allocation,
 )
+import maxminfair.matching as matching_module
 from maxminfair.errors import (
     MatchingNotPerfect,
     NoRemovableBlocker,
@@ -36,6 +40,7 @@ from maxminfair.matching import (
     find_addable_edge,
     is_minimal_thin_edge,
     signature,
+    trace_signatures,
 )
 from maxminfair.oracle import check_state_invariants, monitor_signatures
 
@@ -462,6 +467,78 @@ class TestFindPerfectMatching:
                 assert monitor_signatures(signatures, inst.num_players).passed
 
 
+def reachable(root):
+    """Every object reachable from `root` through `gc.get_referents`, short
+    of types, modules and functions (they lead to the whole program)."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestRetainedOutcome:
+    """A finished search keeps the final matching or the stuck state, and one
+    trace per extension run: nothing else of the runs before."""
+
+    def test_outcome_holds_one_state_and_the_traces(self, monkeypatch):
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(args[2])
+            return extend_matching(*args, **kwargs)
+
+        monkeypatch.setattr(matching_module, "extend_matching", counted)
+        statuses = set()
+        for seed in range(6):
+            inst = generate_instance("uniform", 5, 12, seed)
+            t_star = compute_T_star(inst)
+            for k in (1, 3):
+                runs.clear()
+                out = find_perfect_matching(normalize(inst, k * t_star))
+                statuses.add(out.status)
+                assert len(out.traces) == len(runs) >= 1
+                found = reachable(out)
+                states = [o for o in found if isinstance(o, SearchState)]
+                matchings = [o for o in found if isinstance(o, Matching)]
+                if out.perfect:
+                    assert states == [] and len(matchings) == 1
+                    assert matchings[0] is out.matching
+                    assert len(runs) == inst.num_players
+                else:
+                    assert len(states) == 1 and states[0] is out.state
+                    assert len(matchings) == 1 and matchings[0] is out.state.matching
+                    assert runs[-1] == out.state.root_player
+        assert statuses == {"perfect", "stuck"}
+
+
+class TestBlockingOrder:
+    def test_audited_blockers_with_several_blocking_edges(self):
+        # A blocker's blocking edges are kept in player order, and the
+        # activation order follows them; the audit re-sorts them itself, so
+        # a misordered tuple shows up only where a blocker has two or more.
+        several = 0
+        for seed in range(5):
+            inst = generate_instance("fat-thin-mix", 10, 30, seed)
+            top = min(bundle_value(inst, p, inst.desired_by(p)) for p in inst.players)
+            for k in (2, 4):
+                ni = normalize(inst, top / k)
+
+                def audit(state):
+                    nonlocal several
+                    report = check_state_invariants(ni, state)
+                    assert report.passed, report.violations
+                    several += any(len(b.blocking) > 1 for b in state.blockers)
+
+                find_perfect_matching(ni, on_step=audit)
+        assert several > 0
+
+
 class TestCompleteAllocation:
     def test_leftovers_to_first_desiring_player(self):
         inst = make_instance(
@@ -561,16 +638,16 @@ class TestDeepChain:
         out = find_perfect_matching(ni, on_step=audit)
         assert not audits
         assert out.perfect
-        last = out.extensions[-1]
-        kinds = [ev.kind for ev in last.trace]
+        last = out.traces[-1]
+        kinds = [ev.kind for ev in last]
         assert kinds.count("build") == k
         assert kinds.count("contract") == k - 1
         assert kinds.count("terminate") == 1
         # The chain reaches depth k before unwinding.
-        assert max(ev.blocker_index for ev in last.trace if ev.kind == "build") == k - 1
+        assert max(ev.blocker_index for ev in last if ev.kind == "build") == k - 1
         # Unwinding touches blockers from the deep end back to the root.
         contract_indices = [
-            ev.blocker_index for ev in last.trace if ev.kind in ("contract", "terminate")
+            ev.blocker_index for ev in last if ev.kind in ("contract", "terminate")
         ]
         assert contract_indices == list(range(k - 1, -1, -1))
         assert out.matching.edge_of(f"p{k}").bundle == frozenset({"t1a", "t1b"})
@@ -579,8 +656,8 @@ class TestDeepChain:
         inst = self.chain_instance()
         ni = normalize(inst, F(1))
         out = find_perfect_matching(ni)
-        for ext in out.extensions:
-            report = monitor_signatures(ext.signatures, inst.num_players)
+        for trace in out.traces:
+            report = monitor_signatures(trace_signatures(trace), inst.num_players)
             assert report.passed, report.violations
 
 

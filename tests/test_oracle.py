@@ -8,6 +8,7 @@ from maxminfair.errors import BudgetExceeded, NotAPartition
 from maxminfair.matching import (
     FAT,
     INFINITY,
+    THIN,
     Blocker,
     Edge,
     Matching,
@@ -139,6 +140,63 @@ class TestCheckStateInvariants:
         report = check_state_invariants(ni, state)
         names = {v.invariant for v in report.violations}
         assert "covered-recompute" in names
+
+    def test_detects_swapped_activation_order(self, shared_single):
+        # Plant: honest blockers, but p1 (activated by blocker 0) listed
+        # before the root.
+        ni, state = self._fuzzed_state(shared_single)
+        assert state.active_order == ["p2", "p1"]
+        state.active_order = ["p1", "p2"]
+        report = check_state_invariants(ni, state)
+        assert [v.invariant for v in report.violations] == ["active-recompute"]
+
+    def test_detects_player_activated_twice(self):
+        # Plant: p1's thin edge {a, b} blocks both of p2's candidates, one
+        # through a and one through b.
+        inst = make_instance(
+            {r: "3/23" for r in "abcd"}, {"p1": ["a", "b"], "p2": list("abcd")}
+        )
+        ni = normalize(inst, F(1))
+        matched = Edge("p1", frozenset({"a", "b"}), THIN)
+        state = SearchState(ni, Matching.of([matched]), "p2")
+        build_step(state, Edge("p2", frozenset({"a", "c"}), THIN))
+        state.blockers.append(
+            Blocker(Edge("p2", frozenset({"b", "d"}), THIN), blocking=(matched,))
+        )
+        state.covered |= {"d"}
+        state.active_order.append("p1")
+        report = check_state_invariants(ni, state)
+        names = {v.invariant for v in report.violations}
+        assert "unique-activator" in names
+
+    @pytest.mark.parametrize(
+        "kind, bundle, valid",
+        [
+            (FAT, "a", True),  # exactly 6/23
+            (THIN, "bc", True),  # 3/23 + 3/23
+            (THIN, "be", True),  # 7/23, and 4/23 without b
+            (FAT, "b", False),  # below 6/23
+            (FAT, "u", False),  # not desired
+            (THIN, "bcd", False),  # still 6/23 without its smallest
+            (THIN, "bef", False),  # 7/23 without f (its smallest), 4/23 without e
+            (THIN, "ab", False),  # a is fat
+            (THIN, "b", False),  # below 6/23
+            (THIN, "", False),
+            ("other", "a", False),
+        ],
+    )
+    def test_edges_checked_against_the_definition(self, kind, bundle, valid):
+        values = {"a": "6/23", "b": "3/23", "c": "3/23", "d": "3/23", "e": "4/23"}
+        inst = make_instance(
+            {**values, "f": "1/23", "u": "1"}, {"p1": ["a"], "p2": list("abcdef")}
+        )
+        ni = normalize(inst, F(1))
+        state = SearchState(ni, Matching.empty(), "p2")
+        state.blockers.append(Blocker(Edge("p2", frozenset(bundle), kind), ()))
+        state.covered |= set(bundle)
+        report = check_state_invariants(ni, state)
+        expected = [] if valid else ["edge-valid"]
+        assert [v.invariant for v in report.violations] == expected
 
     def test_detects_missed_blocking_edge(self, shared_single):
         ni, state = self._fuzzed_state(shared_single)
