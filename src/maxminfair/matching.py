@@ -32,7 +32,7 @@ extension run; the states and matchings of earlier runs are dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -62,20 +62,32 @@ class Edge:
 
 @dataclass(frozen=True)
 class Matching:
-    """A set of edges sharing no player and no resource."""
+    """A set of edges sharing no player and no resource.
+
+    `_by_player` maps each matched player to its edge and `_by_resource` each
+    covered resource to the edge holding it, so `edge_of` and `sharing` look
+    edges up instead of scanning them.  Both maps are built once, when the
+    matching is, and are excluded from comparison, hashing and `repr`: two
+    matchings are equal exactly when their `edges` are.
+    """
 
     edges: frozenset[Edge]
+    _by_player: dict[str, Edge] = field(init=False, repr=False, compare=False)
+    _by_resource: dict[str, Edge] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        players = [e.player for e in self.edges]
-        if len(set(players)) != len(players):
-            raise ValueError("matching edges share a player")
-        total = sum(len(e.bundle) for e in self.edges)
-        union = set()
+        by_player, by_resource, size = {}, {}, 0
         for e in self.edges:
-            union |= e.bundle
-        if len(union) != total:
+            by_player[e.player] = e
+            for r in e.bundle:
+                by_resource[r] = e
+            size += len(e.bundle)
+        if len(by_player) != len(self.edges):
+            raise ValueError("matching edges share a player")
+        if len(by_resource) != size:
             raise ValueError("matching edges share a resource")
+        object.__setattr__(self, "_by_player", by_player)
+        object.__setattr__(self, "_by_resource", by_resource)
 
     @classmethod
     def empty(cls) -> "Matching":
@@ -92,22 +104,18 @@ class Matching:
         return iter(self.edges)
 
     def players(self) -> frozenset[str]:
-        return frozenset(e.player for e in self.edges)
+        return frozenset(self._by_player)
 
     def resources(self) -> frozenset[str]:
-        out = set()
-        for e in self.edges:
-            out |= e.bundle
-        return frozenset(out)
+        return frozenset(self._by_resource)
 
     def edge_of(self, player: str) -> Optional[Edge]:
-        for e in self.edges:
-            if e.player == player:
-                return e
-        return None
+        return self._by_player.get(player)
 
     def sharing(self, bundle: frozenset[str]) -> list[Edge]:
-        return [e for e in self.edges if e.bundle & bundle]
+        """The edges holding a resource of `bundle`, each once, in no set order."""
+        owners = map(self._by_resource.get, bundle)
+        return list({e.player: e for e in owners if e is not None}.values())
 
     def with_edge(self, edge: Edge) -> "Matching":
         return Matching(edges=self.edges | {edge})
@@ -458,10 +466,9 @@ def complete_allocation(
     player when nobody does.
     """
     target = Fraction(target)
-    edge_of = {e.player: e for e in matching}
     allocation: dict[str, set[str]] = {p: set() for p in instance.players}
     for p in instance.players:
-        e = edge_of.get(p)
+        e = matching.edge_of(p)
         bundle = frozenset() if e is None else e.bundle
         worth = bundle_value(instance, p, bundle)
         if worth < GUARANTEE_FRACTION * target:
@@ -471,11 +478,13 @@ def complete_allocation(
             )
         allocation[p] |= bundle
 
+    # Lowest-index desirer of each resource: later writes win, so write in
+    # reverse input order.
+    owner = {}
+    for p in reversed(instance.players):
+        owner.update(dict.fromkeys(instance.desire.get(p, ()), p))
     taken = matching.resources()
     for r in instance.resources:
-        if r in taken:
-            continue
-        desirers = instance.desirers(r)
-        owner = desirers[0] if desirers else instance.players[0]
-        allocation[owner].add(r)
+        if r not in taken:
+            allocation[owner.get(r, instance.players[0])].add(r)
     return allocation

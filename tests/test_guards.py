@@ -1,9 +1,11 @@
 """Guards on the package itself: checks that survive `python -O`, and its exports."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import maxminfair
+from maxminfair.matching import Matching
 
 from conftest import run_python_optimize
 
@@ -71,3 +73,34 @@ def test_oracle_reads_only_the_state_and_names_of_matching():
         if isinstance(node, ast.Import)
         for alias in node.names
     )
+
+
+def test_oracle_rederives_the_matching_from_its_edges():
+    # The matching's player and resource maps are the search's own index; the
+    # oracle must not trust them, so it reads `edges` and derives the rest.
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    lookups = {"edge_of", "sharing", "players", "resources"}
+    private = {f.name for f in dataclasses.fields(Matching) if not f.compare}
+    assert private == {"_by_player", "_by_resource"}
+    called = [
+        f"{node.func.attr}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in lookups
+    ]
+    named = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in private)
+        or (isinstance(node, ast.Constant) and node.value in private)
+    ]
+    assert called == [] and named == []
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "matching"
+    }
+    assert read == {"edges"}

@@ -25,6 +25,7 @@ from maxminfair.errors import (
     PlayerAlreadyMatched,
     VerificationFailed,
 )
+from maxminfair.generators import KINDS
 from maxminfair.matching import (
     FAT,
     INFINITY,
@@ -539,6 +540,139 @@ class TestBlockingOrder:
         assert several > 0
 
 
+def ceiling(inst):
+    """The smallest total desired value of a player."""
+    return min(bundle_value(inst, p, inst.desired_by(p)) for p in inst.players)
+
+
+def assert_index_is_the_scan(matching, players, bundles):
+    """Every lookup of `matching` equals the scan of its edges it replaces."""
+    edges = matching.edges
+    for p in players:
+        assert matching.edge_of(p) == next((e for e in edges if e.player == p), None)
+    for bundle in bundles:
+        shared = matching.sharing(bundle)
+        assert len(shared) == len(set(shared))
+        assert set(shared) == {e for e in edges if e.bundle & bundle}
+    assert matching.players() == frozenset(e.player for e in edges)
+    assert matching.resources() == frozenset(r for e in edges for r in e.bundle)
+
+
+def random_matching(rng, num_players, num_resources):
+    """Disjoint random edges over p0.. and r0..; returns the matching and the
+    resources left free."""
+    free = [f"r{i}" for i in range(num_resources)]
+    rng.shuffle(free)
+    edges = []
+    for p in rng.sample(range(num_players), rng.randint(0, num_players)):
+        k = rng.randint(1, 3)
+        if len(free) < k:
+            break
+        bundle, free = free[:k], free[k:]
+        edges.append(Edge(f"p{p}", frozenset(bundle), FAT if k == 1 else THIN))
+    return Matching.of(edges), free
+
+
+def probe_bundles(rng, resources, matching):
+    """Bundles to ask `sharing` about: each edge's, each single resource, the
+    empty one, one with an unknown resource, and random subsets."""
+    resources = sorted(resources)
+    bundles = [e.bundle for e in matching] + [frozenset({r}) for r in resources]
+    bundles += [frozenset(), frozenset({"unknown", *resources[:1]})]
+    bundles += [
+        frozenset(rng.sample(resources, rng.randint(1, len(resources))))
+        for _ in range(10)
+    ]
+    return bundles
+
+
+class TestMatchingIndex:
+    """The player and resource maps answer exactly what a scan of the edges
+    would, and leave equality, hashing and `repr` to `edges`."""
+
+    def test_random_disjoint_edges(self):
+        rng = random.Random(18)
+        for _ in range(200):
+            n, m = rng.randint(1, 12), rng.randint(1, 30)
+            matching, _ = random_matching(rng, n, m)
+            players = [f"p{i}" for i in range(n + 1)]
+            bundles = probe_bundles(rng, [f"r{i}" for i in range(m)], matching)
+            assert_index_is_the_scan(matching, players, bundles)
+
+    def test_after_with_edge_and_replace(self):
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(200):
+            n, m = rng.randint(2, 10), rng.randint(4, 30)
+            matching, free = random_matching(rng, n, m)
+            players = [f"p{i}" for i in range(n)]
+            unmatched = [p for p in players if matching.edge_of(p) is None]
+            if len(free) < 2 or not unmatched or not len(matching):
+                continue
+            added = matching.with_edge(Edge(unmatched[0], frozenset(free[:1]), FAT))
+            old = rng.choice(sorted(matching, key=lambda e: e.player))
+            moved = Edge(old.player, frozenset(free[1:3]) | {min(old.bundle)}, THIN)
+            replaced = added.replace(old, moved)
+            assert replaced.edge_of(old.player) == moved
+            resources = [f"r{i}" for i in range(m)]
+            for result in (matching, added, replaced):
+                bundles = probe_bundles(rng, resources, result)
+                assert_index_is_the_scan(result, players, bundles)
+            checked += 1
+        assert checked > 50
+
+    def test_matchings_of_finished_and_running_searches(self):
+        rng = random.Random(3)
+        statuses = set()
+        for kind in KINDS:
+            for seed in range(3):
+                inst = generate_instance(kind, 8, 20, seed)
+                bundles = probe_bundles(rng, inst.resources, Matching.empty())
+                for k in (1, 4):
+                    ni = normalize(inst, ceiling(inst) / k)
+
+                    def check(state):
+                        assert_index_is_the_scan(state.matching, inst.players, bundles)
+
+                    out = find_perfect_matching(ni, on_step=check)
+                    statuses.add(out.status)
+                    final = out.matching if out.perfect else out.state.matching
+                    assert_index_is_the_scan(
+                        final, inst.players, bundles + [e.bundle for e in final]
+                    )
+        assert statuses == {"perfect", "stuck"}
+
+    def test_shared_player_or_resource_raises(self):
+        with pytest.raises(ValueError, match="share a player"):
+            Matching.of([fat_edge("p1", "a"), fat_edge("p1", "b")])
+        with pytest.raises(ValueError, match="share a resource"):
+            Matching.of([fat_edge("p1", "a"), thin_edge("p2", "a", "b")])
+        base = Matching.of([fat_edge("p1", "a"), fat_edge("p2", "b")])
+        with pytest.raises(ValueError, match="share a player"):
+            base.with_edge(fat_edge("p1", "c"))
+        with pytest.raises(ValueError, match="share a resource"):
+            base.with_edge(fat_edge("p3", "b"))
+        with pytest.raises(ValueError, match="share a resource"):
+            base.replace(fat_edge("p1", "a"), fat_edge("p1", "b"))
+
+    def test_equal_edges_equal_hash_and_repr(self):
+        edges = [fat_edge("p1", "a"), thin_edge("p2", "b", "c"), fat_edge("p3", "d")]
+        one = Matching.of(edges)
+        two = Matching.of(reversed(edges))
+        three = Matching.empty()
+        for e in edges:
+            three = three.with_edge(e)
+        four = three.replace(edges[0], fat_edge("p1", "e")).replace(
+            fat_edge("p1", "e"), edges[0]
+        )
+        for other in (two, three, four):
+            assert other == one and hash(other) == hash(one)
+            assert repr(other) == f"Matching(edges={other.edges!r})"
+        assert repr(Matching(edges=one.edges)) == repr(one)
+        assert len({one, two, three, four}) == 1
+        assert one != one.with_edge(fat_edge("p4", "e"))
+
+
 class TestCompleteAllocation:
     def test_leftovers_to_first_desiring_player(self):
         inst = make_instance(
@@ -580,6 +714,39 @@ class TestCompleteAllocation:
         )
         allocation = complete_allocation(inst, Matching.empty(), F(0))
         assert allocation == {"p1": {"b", "junk"}, "p2": {"a"}, "p3": set()}
+
+    def test_leftovers_go_to_the_lowest_index_desirer(self):
+        hand_made = make_instance(
+            {"a": "1", "nobody": "1/3", "zero": "0", "last": "1/2", "b": "1"},
+            {"p0": ["a"], "p1": ["a", "zero", "b"], "p2": ["zero", "last", "b"]},
+            players=["p0", "p1", "p2"],
+        )
+        allocation = complete_allocation(hand_made, Matching.empty(), F(0))
+        assert allocation == {
+            "p0": {"a", "nobody"},
+            "p1": {"zero", "b"},
+            "p2": {"last"},
+        }
+        cases = [(hand_made, Matching.empty(), F(0))]
+        cases.append((hand_made, Matching.of([fat_edge("p2", "b")]), F(0)))
+        for kind in KINDS:
+            for seed in range(4):
+                inst = generate_instance(kind, 6, 14, seed)
+                cases.append((inst, Matching.empty(), F(0)))
+                for k in (1, 4):
+                    target = ceiling(inst) / k
+                    out = find_perfect_matching(normalize(inst, target))
+                    if out.perfect:
+                        cases.append((inst, out.matching, target))
+        assert len(cases) > 2 + 3 * 4
+        for inst, matching, target in cases:
+            allocation = complete_allocation(inst, matching, target)
+            holder = {r: e.player for e in matching.edges for r in e.bundle}
+            for r in inst.resources:
+                desirers = inst.desirers(r)
+                leftover_rule = desirers[0] if desirers else inst.players[0]
+                owners = [p for p in inst.players if r in allocation[p]]
+                assert owners == [holder.get(r, leftover_rule)]
 
     def test_not_perfect_rejected(self, two_fat):
         with pytest.raises(MatchingNotPerfect):
