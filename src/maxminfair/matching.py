@@ -113,7 +113,7 @@ class Matching:
         return self._by_player.get(player)
 
     def sharing(self, bundle: frozenset[str]) -> list[Edge]:
-        """The edges holding a resource of `bundle`, each once, in no set order."""
+        """The edges holding a resource of `bundle`, each once, in no fixed order."""
         owners = map(self._by_resource.get, bundle)
         return list({e.player: e for e in owners if e is not None}.values())
 
