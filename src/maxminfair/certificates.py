@@ -11,8 +11,8 @@ dual unbounded.
 
 Construction is never trusted, and each claim is checked once:
 `construct_dual_certificate` refuses a state that is not stuck;
-`verify_certificate_feasibility` re-derives dual feasibility with the exact
-pricing search (covering every case of the underlying analysis at once); and
+`verify_certificate_feasibility` re-derives dual feasibility: z >= 0, then
+the exact pricing search (covering every case of the analysis at once); and
 `check_blocker_balances` re-plays the per-blocker accounting that makes the
 objective positive, which localizes any failure to a single blocker.
 """
@@ -104,15 +104,17 @@ class FeasibilityReport:
 def verify_certificate_feasibility(
     ni: NormalizedInstance, cert: DualCertificate
 ) -> FeasibilityReport:
-    """Check y_p <= cost of the cheapest configuration at prices z, per player.
+    """Check z >= 0, then y_p <= cost of the cheapest configuration at z.
 
-    Configurations are priced on the instance itself at `ni.target`: the
-    same bundles, costs and tie order as on a copy scaled to target 1.
-    Players with no configuration are vacuously satisfied and reported with
-    a None margin.
+    A negative price fails, one failure per such resource, and no player is
+    priced (no margins).  Else configurations are priced on the instance at
+    `ni.target`: the same bundles, costs and tie order as on a copy scaled
+    to target 1.  A player with no configuration gets a None margin.
     """
+    failures = [f"resource {r!r}: price {v} < 0" for r, v in cert.z.items() if v < 0]
+    if failures:
+        return FeasibilityReport(passed=False, margins={}, failures=tuple(failures))
     margins: dict[str, Optional[Fraction]] = {}
-    failures = []
     for p in ni.base.players:
         priced = min_cost_configuration(ni.base, p, cert.z, ni.target)
         if priced is None:

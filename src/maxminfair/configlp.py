@@ -13,10 +13,10 @@ certified proof of infeasibility once no improving column exists.  A player
 whose dual is 0 is not priced: every cost is >= 0, so it never gains a
 column.  Each claim is checked once, never trusted, and a failure raises
 `VerificationFailed`: feasible weights are re-checked against both
-constraint families, infeasibility prices must have a positive objective
-and no negative resource price, and their dual feasibility is checked by
-the last round itself, which priced every player with a positive dual at
-exactly those prices and found nothing cheaper.
+constraint families, each round's resource prices must be non-negative
+before any pricing, infeasibility prices need a positive objective, and
+their dual feasibility is checked by the last round itself, which priced
+every player with a positive dual at those prices and found nothing cheaper.
 
 The optimal target T* is the largest T at which CLP(T) is feasible.
 Feasibility only changes when the configuration sets change, i.e. at
@@ -155,6 +155,9 @@ def min_cost_configuration(
     Returns the argmin of (cost, bundle size, sorted resource indices) over
     the bundles of positive-value desired resources worth at least `target`;
     zero-value resources never enter a bundle, and a missing price is 0.
+    Prices (`int` or `Fraction`) and the target are read as given, and only
+    the candidates' prices are read: one below 0 raises `NegativePrice`, as
+    the pruning needs every cost >= 0.
 
     Exact branch and bound over integers: the values are the instance's
     weights, the target is rounded up onto their scale, and the costs are
@@ -163,10 +166,6 @@ def min_cost_configuration(
     Candidates come in the instance's search order (descending value) and
     are pruned by the remaining achievable value and by the incumbent cost.
     """
-    target = Fraction(target)
-    for r, price in prices.items():
-        if price < 0:
-            raise NegativePrice(f"price of {r!r} is negative: {price}")
     instance.player_index(player)
     if target <= 0:
         return (_ZERO, frozenset())
@@ -174,9 +173,13 @@ def min_cost_configuration(
     index_of = instance.resource_index
     candidates = instance.candidates[player]
     values = [instance.weight[r] for r in candidates]
-    exact_costs = [Fraction(prices.get(r, 0)) for r in candidates]
+    exact_costs = [prices.get(r, 0) for r in candidates]
     cost_scale = reduce(lcm, (c.denominator for c in exact_costs), 1)
-    costs = [c.numerator * (cost_scale // c.denominator) for c in exact_costs]
+    costs = []
+    for r, c in zip(candidates, exact_costs):
+        if c < 0:
+            raise NegativePrice(f"price of {r!r} is negative: {c}")
+        costs.append(c.numerator * (cost_scale // c.denominator))
     goal = -(-target.numerator * instance.scale // target.denominator)
     positions = [index_of(r) for r in candidates]
     n = len(candidates)
@@ -249,9 +252,9 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
     pricing round runs then, since prices only certify infeasibility.
     Infeasible: at positive shortfall, dual prices with positive objective,
     feasible because that round priced every player with a positive dual y
-    at them without finding an improving column.  A player whose y is 0 is
-    not priced: no column costs less than 0, so its dual constraint holds
-    once the resource prices are checked non-negative.
+    at them without finding an improving column.  Each round checks its
+    resource prices z >= 0 before any pricing, so a player whose y is 0 is
+    not priced: no column costs less than 0, and its dual constraint holds.
     """
     target = Fraction(target)
     if target < 0:
@@ -287,13 +290,10 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
             return ClpVerdict(
                 status=FEASIBLE, solution=tuple(solution), transcript=tuple(pool)
             )
-        y = {
-            p: outcome.dual[pi] for pi, p in enumerate(instance.players)
-        }
-        z = {
-            r: -outcome.dual[m + ri]
-            for ri, r in enumerate(instance.resources)
-        }
+        y = {p: outcome.dual[pi] for pi, p in enumerate(instance.players)}
+        z = {r: -outcome.dual[m + ri] for ri, r in enumerate(instance.resources)}
+        if min(z.values(), default=_ZERO) < 0:
+            raise VerificationFailed(f"master prices {min(z, key=z.get)!r} below 0")
         pooled = len(pool)
         for p in instance.players:
             # Every cost is >= 0, so no column improves on y[p] = 0.
@@ -323,10 +323,6 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
                 raise VerificationFailed(
                     f"infeasibility prices have objective {prices.objective} <= 0"
                 )
-            # A player skipped at y = 0 needs z >= 0, which pricing checks only
-            # in a round where it runs.
-            if min(z.values(), default=_ZERO) < 0:
-                raise NegativePrice("infeasibility prices price a resource below 0")
             return ClpVerdict(status=INFEASIBLE, prices=prices, transcript=tuple(pool))
 
 

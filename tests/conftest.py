@@ -66,6 +66,17 @@ def zero_optimize(tableau):
     )
 
 
+def negative_price_optimize(tableau):
+    """A corrupted master optimum for `two_fat`: positive shortfall, both
+    players' duals 1, and resource "a" priced at -1 (its row's dual is 1)."""
+    return LpOutcome(
+        status=OPTIMAL,
+        primal=(Fraction(0),) * tableau.num_vars,
+        dual=(Fraction(1), Fraction(1), Fraction(1), Fraction(0)),
+        objective=Fraction(1),
+    )
+
+
 @pytest.fixture
 def two_fat():
     """Two players, two unit-value resources, both desired by both."""

@@ -4,6 +4,7 @@ import pytest
 
 from maxminfair import (
     DualCertificate,
+    certificates,
     check_blocker_balances,
     compute_T_star,
     construct_dual_certificate,
@@ -108,6 +109,33 @@ class TestVerifyFeasibility:
         report = verify_certificate_feasibility(ni, broken)
         assert not report.passed
         assert report.margins["p1"] < 0
+
+    def test_negative_price_fails_without_pricing(self, monkeypatch):
+        # z >= 0 is part of the dual feasibility checked here: one negated
+        # covered price fails the check, naming its resource, before any
+        # player is priced.  The balance check reads the same prices.
+        inst = make_instance(
+            {"t1": "3/23", "t2": "3/23", "t3": "3/23"},
+            {"p1": ["t1", "t2", "t3"], "p2": ["t1", "t2", "t3"]},
+        )
+        ni, state = stuck_state(inst)
+        cert = construct_dual_certificate(ni, state)
+        r = ni.base.sorted_resources(state.covered)[0]
+        broken = DualCertificate(
+            y=cert.y, z={**cert.z, r: -cert.z[r]}, blocker_groups=cert.blocker_groups
+        )
+
+        def unreachable(*args):
+            pytest.fail("a certificate with a negative price was priced")
+
+        monkeypatch.setattr(certificates, "min_cost_configuration", unreachable)
+        report = verify_certificate_feasibility(ni, broken)
+        assert not report.passed
+        assert report.margins == {}
+        assert len(report.failures) == 1 and repr(r) in report.failures[0]
+        balances = check_blocker_balances(ni, state, broken)
+        assert balances.objective == broken.objective
+        assert len(balances.balances) == len(broken.blocker_groups)
 
     def test_scaling_keeps_feasibility(self, shared_single):
         ni, state = stuck_state(shared_single)

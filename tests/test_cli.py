@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from maxminfair import (
+    DualCertificate,
     cli,
     format_rational,
     generate_instance,
@@ -32,7 +33,7 @@ from maxminfair.cli import (
 from maxminfair.errors import VerificationFailed
 from maxminfair.simplex import Tableau
 
-from conftest import make_instance, zero_optimize
+from conftest import make_instance, negative_price_optimize, zero_optimize
 
 F = Fraction
 
@@ -172,6 +173,36 @@ class TestSolve:
         assert captured.err.startswith("internal error:")
         assert "forced failure" in captured.err
         with pytest.raises(VerificationFailed, match="forced failure"):
+            solve(shared_single, F(1))
+
+    def test_negative_master_price_is_internal_error(
+        self, monkeypatch, capsys, tmp_path, two_fat
+    ):
+        # A resource price the master computed is the solver's, not the input's.
+        monkeypatch.setattr(Tableau, "optimize", negative_price_optimize)
+        code = main(["solve", "--instance", write_instance(tmp_path, two_fat)])
+        assert code == EXIT_FAIL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:")
+
+    def test_negative_certificate_price_is_internal_error(
+        self, monkeypatch, capsys, tmp_path, shared_single
+    ):
+        construct = cli.construct_dual_certificate
+
+        def negated(ni, state):
+            cert = construct(ni, state)
+            z = {r: -v for r, v in cert.z.items()}
+            return DualCertificate(y=cert.y, z=z, blocker_groups=cert.blocker_groups)
+
+        monkeypatch.setattr(cli, "construct_dual_certificate", negated)
+        argv = ["solve", "--instance", write_instance(tmp_path, shared_single)]
+        assert main([*argv, "--target", "1"]) == EXIT_FAIL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:")
+        with pytest.raises(VerificationFailed, match="resource 'r'"):
             solve(shared_single, F(1))
 
     def test_oversized_derived_value_is_a_budget_error(

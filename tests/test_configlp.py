@@ -43,6 +43,7 @@ from maxminfair.oracle import enumerated_clp_feasible, exact_T_star_enumerated
 
 from conftest import (
     make_instance,
+    negative_price_optimize,
     run_python_optimize,
     scaled_instance,
     zero_optimize,
@@ -102,6 +103,33 @@ class TestMinCostConfiguration:
         with pytest.raises(NegativePrice):
             min_cost_configuration(two_fat, "p1", {"a": F(-1)}, F(1))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_reads_only_candidate_prices(self, data):
+        # A negative price on a resource `p` does not desire ("x"), or on a
+        # zero-value one it does ("z" and any drawn zero), is never read: the
+        # result equals the one without that price.
+        fractions = st.fractions(min_value=0, max_value=2, max_denominator=1000)
+        resources = [f"r{j}" for j in range(data.draw(st.integers(1, 8)))]
+        values = {r: data.draw(st.one_of(st.just(F(0)), fractions)) for r in resources}
+        inst = make_instance(
+            {**values, "z": F(0), "x": data.draw(fractions)},
+            {"p": [*resources, "z"], "q": ["x"]},
+        )
+        prices = {r: data.draw(fractions) for r in resources}
+        target = data.draw(
+            st.fractions(min_value=0, max_value=4, max_denominator=1000)
+        )
+        expected = min_cost_configuration(inst, "p", prices, target)
+        assert expected == enumerate_min_cost(inst, "p", prices, target)
+        unread = ["x", "z"] + [r for r in resources if values[r] == 0]
+        negative = -1 - data.draw(fractions)
+        for r in unread:
+            priced = {**prices, r: negative}
+            assert min_cost_configuration(inst, "p", priced, target) == expected
+        priced = {**prices, **{r: negative for r in unread}}
+        assert min_cost_configuration(inst, "p", priced, target) == expected
+
     def test_lexicographic_tie_break(self):
         # Both {a} and {b} cost 0 at value 1; the earlier resource wins.
         inst = make_instance({"a": "1", "b": "1"}, {"p": ["a", "b"]})
@@ -114,9 +142,11 @@ class TestMinCostConfiguration:
         # Denominators up to 1000 make the scaling LCMs large; a palette of
         # (value, price) pairs makes equal-cost bundles and exercises the
         # tie rule; zero values, a missing price, a price on a resource the
-        # player does not desire and an int target are all drawn.
+        # player does not desire, int values and prices (read as given, with
+        # no `Fraction` copy) and an int target are all drawn.
         fractions = st.one_of(
             st.just(F(0)),
+            st.integers(0, 2),
             st.fractions(min_value=0, max_value=2, max_denominator=1000),
         )
         n = data.draw(st.integers(1, 9))
@@ -655,8 +685,23 @@ class TestVerificationGates:
                 objective=F(1),
             ),
         )
-        with pytest.raises(NegativePrice):
+        with pytest.raises(VerificationFailed):
             clp_feasible(two_fat, F(1))
+
+    def test_negative_master_price_raises_before_pricing(self, monkeypatch, two_fat):
+        # Every y is positive, so the round would price; its resource prices
+        # are checked first, and the solver's own price fails as a fault.
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return min_cost_configuration(*args)
+
+        monkeypatch.setattr(Tableau, "optimize", negative_price_optimize)
+        monkeypatch.setattr(configlp, "min_cost_configuration", recording)
+        with pytest.raises(VerificationFailed, match="'a' below 0"):
+            clp_feasible(two_fat, F(1))
+        assert calls == []
 
     def test_corrupted_master_raises(self, monkeypatch, two_fat):
         monkeypatch.setattr(Tableau, "optimize", zero_optimize)
@@ -686,6 +731,17 @@ class TestVerificationGates:
                 primal=(Fraction(0),) * tableau.num_vars,
                 dual=(Fraction(0),) * tableau.num_rows,
                 objective=Fraction(0),
+            )
+            """
+        assert _clp_under_python_optimize(script) == "VerificationFailed"
+
+    def test_master_price_gate_survives_python_optimize(self):
+        script = """
+            Tableau.optimize = lambda tableau: LpOutcome(
+                status=OPTIMAL,
+                primal=(Fraction(0),) * tableau.num_vars,
+                dual=(Fraction(1), Fraction(1), Fraction(1), Fraction(0)),
+                objective=Fraction(1),
             )
             """
         assert _clp_under_python_optimize(script) == "VerificationFailed"

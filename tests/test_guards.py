@@ -24,6 +24,38 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_negative_price_is_raised_only_by_pricing():
+    # A price is a caller's input only in `min_cost_configuration`; a negative
+    # price the solver computed (a master dual, a certificate) is a failed
+    # re-check, raised as `VerificationFailed`.
+    raised = [
+        f"{path.stem}.{scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in _raising_scopes(ast.parse(path.read_text()), "NegativePrice")
+    ]
+    assert raised == ["configlp.min_cost_configuration"]
+
+
+def _raising_scopes(tree, name):
+    """The innermost enclosing function (None at module level) of each
+    `raise name(...)` or `raise name` in `tree`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise):
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if name in (getattr(exc, "id", None), getattr(exc, "attr", None)):
+                    found.append(scope)
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
 def test_acceptance_suite_passes_under_python_optimize():
     proc = run_python_optimize(
         "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py"
