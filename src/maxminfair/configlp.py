@@ -165,12 +165,18 @@ def min_cost_configuration(
     is on Python `int`s and the cost becomes a `Fraction` only on return.
     Candidates come in the instance's search order (descending value) and
     are pruned by the remaining achievable value and by the incumbent cost.
+    A bundle is a bitmask with bit `1 << resource_index(r)` for each member,
+    so the tie rule is two bit operations: the smaller `bit_count()` wins,
+    and at equal size the mask holding the lowest bit of the symmetric
+    difference wins, which is the smaller list of sorted indices.  A node
+    short of the target that costs as much as the incumbent and already
+    has as many resources is cut: any completion adds a resource at no
+    lower cost and loses the tie on size.
     """
     instance.player_index(player)
     if target <= 0:
         return (_ZERO, frozenset())
 
-    index_of = instance.resource_index
     candidates = instance.candidates[player]
     values = [instance.weight[r] for r in candidates]
     exact_costs = [prices.get(r, 0) for r in candidates]
@@ -181,7 +187,7 @@ def min_cost_configuration(
             raise NegativePrice(f"price of {r!r} is negative: {c}")
         costs.append(c.numerator * (cost_scale // c.denominator))
     goal = -(-target.numerator * instance.scale // target.denominator)
-    positions = [index_of(r) for r in candidates]
+    bits = [1 << instance.resource_index(r) for r in candidates]
     n = len(candidates)
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -189,17 +195,13 @@ def min_cost_configuration(
     if suffix[0] < goal:
         return None
 
-    def tie_key(chosen: int) -> tuple:
-        members = [positions[j] for j in range(n) if chosen >> j & 1]
-        return (len(members), sorted(members))
-
     # No bundle costs more than every candidate together, so this bound
     # prunes nothing until the first covering bundle is found.
     best_cost = sum(costs) + 1
     best: Optional[int] = None
-    best_key: Optional[tuple] = None
-    # Nodes are (next candidate, value, cost, bitmask of chosen candidates).
-    # An int, not a tuple of positions: tuples of every length would fill the
+    best_size = 0
+    # Nodes are (next candidate, value, cost, bitmask of chosen resources by
+    # index).  An int, not a tuple: tuples of every length would fill the
     # interpreter's per-length free lists, which only a full collection frees.
     stack: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)]
     while stack:
@@ -210,15 +212,19 @@ def min_cost_configuration(
             # Any extension only adds cost and lengthens the bundle, so this
             # node is the best completion of `chosen`.
             if cost < best_cost:
-                best_cost, best, best_key = cost, chosen, None
+                best_cost, best, best_size = cost, chosen, chosen.bit_count()
                 continue
-            # A tie on cost: the incumbent's key is computed once, on its
-            # first tie.
-            if best_key is None:
-                best_key = tie_key(best)
-            key = tie_key(chosen)
-            if key < best_key:
-                best, best_key = chosen, key
+            # A tie on cost: the smaller bundle wins, and at equal size the
+            # one holding the lowest index where the two differ.
+            size = chosen.bit_count()
+            if size < best_size or (
+                size == best_size and chosen & (d := chosen ^ best) & -d
+            ):
+                best, best_size = chosen, size
+            continue
+        # A completion needs one more resource at no lower cost, so it would
+        # lose the tie on size.
+        if cost == best_cost and chosen.bit_count() >= best_size:
             continue
         # Every node on the stack can still reach the goal (val + suffix[i]
         # >= goal), so it is not a leaf.  Explore inclusion first (stack
@@ -226,7 +232,7 @@ def min_cost_configuration(
         if val + suffix[i + 1] >= goal:
             stack.append((i + 1, val, cost, chosen))
         if cost + costs[i] <= best_cost:
-            stack.append((i + 1, val + values[i], cost + costs[i], chosen | 1 << i))
+            stack.append((i + 1, val + values[i], cost + costs[i], chosen | bits[i]))
 
     if best is None:
         raise VerificationFailed(
@@ -235,7 +241,7 @@ def min_cost_configuration(
         )
     return (
         Fraction(best_cost, cost_scale),
-        frozenset(candidates[j] for j in range(n) if best >> j & 1),
+        frozenset(r for r, b in zip(candidates, bits) if best & b),
     )
 
 

@@ -305,17 +305,19 @@ def normalize(instance: Instance, target: Fraction) -> NormalizedInstance:
     threshold = GUARANTEE_FRACTION * target
     bound = -(-threshold.numerator * instance.scale // threshold.denominator)
     weight = instance.weight
-    fat_order = [r for r in instance.resources if weight[r] >= bound]
     fat, thin = {}, {}
-    for p in instance.players:  # tuple([...]): a resized tuple(<gen>) pins free lists
-        wanted = instance.desired_by(p)
-        fat[p] = tuple([r for r in fat_order if r in wanted])
-        thin[p] = tuple([r for r in instance.candidates[p] if weight[r] < bound])
+    for p, candidates in instance.candidates.items():
+        # Candidates run by descending weight, so the fat ones are a prefix.
+        k = 0
+        while k < len(candidates) and weight[candidates[k]] >= bound:
+            k += 1
+        fat[p] = tuple(sorted(candidates[:k], key=instance.resource_index))
+        thin[p] = candidates[k:]
     return NormalizedInstance(
         base=instance,
         target=target,
         fat=fat,
         thin=thin,
-        fat_resources=frozenset(fat_order),
+        fat_resources=frozenset([r for r in instance.resources if weight[r] >= bound]),
         bound=bound,
     )

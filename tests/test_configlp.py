@@ -1,3 +1,4 @@
+import random
 import textwrap
 import time
 from fractions import Fraction
@@ -136,6 +137,46 @@ class TestMinCostConfiguration:
         cost, bundle = min_cost_configuration(inst, "p", {}, F(1))
         assert cost == 0 and bundle == frozenset({"a"})
 
+    def test_tie_break_follows_index_not_name_or_value(self):
+        # Values in [1, 3/2) in shuffled order, so any two resources reach
+        # target 2 and none alone; names shuffled against the input order.
+        # Price 0 on a random subset S: the cheapest bundles are S's pairs,
+        # and the winner is S's two lowest-index members.  Widths past 64
+        # span several int digits in the masks.
+        rng = random.Random(20)
+        for n in [3, 4, 5, 6, 8, 10, 12] * 4 + [70, 100, 130]:
+            names = [f"r{k}" for k in rng.sample(range(n), n)]
+            values = [1 + F(k, 2 * n) for k in rng.sample(range(n), n)]
+            inst = make_instance(dict(zip(names, values)), {"p": rng.sample(names, n)})
+            free = sorted(rng.sample(range(n), rng.randint(2, n)))
+            prices = {r: F(int(j not in free)) for j, r in enumerate(names)}
+            expected = (F(0), frozenset(names[j] for j in free[:2]))
+            assert min_cost_configuration(inst, "p", prices, F(2)) == expected
+            if n <= 12:
+                assert enumerate_min_cost(inst, "p", prices, F(2)) == expected
+
+    def test_smaller_tied_bundle_beats_lower_indices(self):
+        # {x, y, u} (indices 0-2) is the first bundle found at cost 2, then
+        # {z, w} (indices 3 and 4) ties it: the smaller bundle wins although
+        # the larger one's sorted indices come first.
+        inst = make_instance(
+            {"x": 5, "y": 1, "u": 1, "z": 4, "w": 4}, {"p": ["x", "y", "u", "z", "w"]}
+        )
+        prices = {"x": F(2), "y": F(0), "u": F(0), "z": F(1), "w": F(1)}
+        expected = (F(2), frozenset({"z", "w"}))
+        assert enumerate_min_cost(inst, "p", prices, F(7)) == expected
+        assert min_cost_configuration(inst, "p", prices, F(7)) == expected
+
+    def test_tie_reached_one_resource_short_of_the_incumbent(self):
+        # {t, r} (indices 3, 1) becomes the incumbent at cost 1; the node
+        # {q}, one resource smaller at the same cost, completes to {q, r}
+        # (indices 0, 1), which wins the tie on indices.
+        inst = make_instance({"q": 3, "r": 2, "s": 0, "t": 4}, {"p": ["t", "q", "r"]})
+        prices = {"t": F(1), "q": F(1), "r": F(0)}
+        expected = (F(1), frozenset({"q", "r"}))
+        assert enumerate_min_cost(inst, "p", prices, F(5)) == expected
+        assert min_cost_configuration(inst, "p", prices, F(5)) == expected
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_agrees_with_enumeration(self, data):
@@ -178,28 +219,54 @@ class TestMinCostConfiguration:
         )
 
     def test_agrees_with_enumeration_at_certificate_prices(self):
-        # Every player's pricing at a stuck state's certificate, on 6x14
-        # instances at four times the ceiling, where the search always halts.
-        # The certificate is priced on the instance at the target; a copy
-        # scaled by 1/target, at target 1, has the same configurations.
-        checked = 0
+        # Every player's pricing at a stuck state's certificate: on 6x14
+        # instances at four times the ceiling, where the search always halts,
+        # and, as in the benchmark's certify-mid, on 6x14 and 8x20 at the
+        # first of 1/2, 1, 3/2 and 2 times the ceiling where it halts (each
+        # player with at most 12 candidates).  The certificate is priced on
+        # the instance at the target; a copy scaled by 1/target, at target 1,
+        # has the same configurations.
+        def stuck_prices(inst, target):
+            ni = normalize(inst, target)
+            out = find_perfect_matching(ni)
+            assert not out.perfect
+            return construct_dual_certificate(ni, out.state).z
+
+        at_four = at_halt = 0
         for kind in KINDS:
-            for seed in range(10):
-                inst = generate_instance(kind, 6, 14, seed)
-                ceiling = min(
-                    bundle_value(inst, p, inst.desired_by(p)) for p in inst.players
-                )
-                ni = normalize(inst, 4 * ceiling)
-                out = find_perfect_matching(ni)
-                assert not out.perfect
-                cert = construct_dual_certificate(ni, out.state)
-                unit = scaled_instance(inst, 1 / ni.target)
-                for p in inst.players:
-                    priced = min_cost_configuration(ni.base, p, cert.z, ni.target)
-                    assert priced == enumerate_min_cost(inst, p, cert.z, ni.target)
-                    assert priced == enumerate_min_cost(unit, p, cert.z, F(1))
-                    checked += 1
-        assert checked == 180
+            for size in [(6, 14), (8, 20)]:
+                for seed in range(10):
+                    inst = generate_instance(kind, *size, seed)
+                    ceiling = min(
+                        bundle_value(inst, p, inst.desired_by(p)) for p in inst.players
+                    )
+                    if size == (6, 14):
+                        target = 4 * ceiling
+                        z = stuck_prices(inst, target)
+                        unit = scaled_instance(inst, 1 / target)
+                        for p in inst.players:
+                            priced = min_cost_configuration(inst, p, z, target)
+                            assert priced == enumerate_min_cost(inst, p, z, target)
+                            assert priced == enumerate_min_cost(unit, p, z, F(1))
+                            at_four += 1
+                    target = next(
+                        (
+                            f * ceiling
+                            for f in [F(1, 2), F(1), F(3, 2), F(2)]
+                            if not find_perfect_matching(normalize(inst, f * ceiling)).perfect
+                        ),
+                        None,
+                    )
+                    if target is None:
+                        continue
+                    z = stuck_prices(inst, target)
+                    for p in inst.players:
+                        if len(inst.candidates[p]) <= 12:
+                            priced = min_cost_configuration(inst, p, z, target)
+                            assert priced == enumerate_min_cost(inst, p, z, target)
+                            at_halt += 1
+        assert at_four == 180
+        assert at_halt == 289
 
 
 class TestClpFeasible:

@@ -9,6 +9,7 @@ from maxminfair import (
     GUARANTEE_FRACTION,
     bundle_value,
     format_rational,
+    generate_instance,
     normalize,
     parse_rational,
     validate_instance,
@@ -23,6 +24,8 @@ from maxminfair.errors import (
     UnknownPlayer,
     UnknownResource,
 )
+
+from maxminfair.generators import KINDS
 
 from conftest import make_instance
 
@@ -313,6 +316,57 @@ def test_fat_thin_partition(inst, target):
                 assert (r in ni.fat[p]) != (r in ni.thin[p])
             else:
                 assert r not in ni.fat[p] and r not in ni.thin[p]
+
+
+def test_normalize_matches_definitions():
+    # fat, thin, fat_resources and bound recomputed from their definitions
+    # on values, not weights.  Each generated instance gains a zero-value
+    # resource every player desires and a valuable one nobody desires; the
+    # targets include one with no fat resource and one where every positive
+    # resource is fat (its smallest value sits exactly on the threshold).
+    checked = 0
+    for kind in KINDS:
+        for seed in range(4):
+            raw = generate_instance(kind, 8, 20, seed).to_json_dict()
+            raw["resources"] += [{"id": "zero", "value": 0}, {"id": "idle", "value": 2}]
+            for wanted in raw["desires"].values():
+                wanted.append("zero")
+            inst = validate_instance(raw)
+            index = inst.resource_index
+            positive = [inst.value[r] for r in inst.resources if inst.value[r] > 0]
+            ceiling = min(bundle_value(inst, p, inst.desired_by(p)) for p in inst.players)
+            targets = [
+                min(positive) / GUARANTEE_FRACTION,
+                ceiling / 2,
+                ceiling,
+                4 * ceiling,
+                2 * max(positive) / GUARANTEE_FRACTION,
+            ]
+            for target in targets:
+                threshold = GUARANTEE_FRACTION * target
+                ni = normalize(inst, target)
+                assert ni.bound == math.ceil(threshold * inst.scale)
+                assert ni.fat_resources == {
+                    r for r in inst.resources if inst.value[r] >= threshold
+                }
+                for p in inst.players:
+                    wanted = inst.desired_by(p)
+                    assert ni.fat[p] == tuple(
+                        sorted((r for r in wanted if inst.value[r] >= threshold), key=index)
+                    )
+                    assert ni.thin[p] == tuple(
+                        sorted(
+                            (r for r in wanted if 0 < inst.value[r] < threshold),
+                            key=lambda r: (-inst.value[r], index(r)),
+                        )
+                    )
+                checked += 1
+            assert not any(normalize(inst, targets[-1]).fat.values())
+            assert all(
+                set(normalize(inst, targets[0]).fat[p]) == set(inst.candidates[p])
+                for p in inst.players
+            )
+    assert checked == 60
 
 
 @given(instances(), st.data())
