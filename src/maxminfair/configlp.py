@@ -171,7 +171,11 @@ def min_cost_configuration(
     difference wins, which is the smaller list of sorted indices.  A node
     short of the target that costs as much as the incumbent and already
     has as many resources is cut: any completion adds a resource at no
-    lower cost and loses the tie on size.
+    lower cost and loses the tie on size.  Candidates of equal weight and
+    equal scaled cost are interchangeable, and one joins a bundle only after
+    its predecessor in that class (candidate order is index order there):
+    swapping a member for a missing lower-index one keeps the value, the
+    cost and the size, and wins the tie, so no argmin is cut.
     """
     instance.player_index(player)
     if target <= 0:
@@ -179,15 +183,27 @@ def min_cost_configuration(
 
     candidates = instance.candidates[player]
     values = [instance.weight[r] for r in candidates]
+    bits = [1 << instance.resource_index(r) for r in candidates]
     exact_costs = [prices.get(r, 0) for r in candidates]
     cost_scale = reduce(lcm, (c.denominator for c in exact_costs), 1)
     costs = []
-    for r, c in zip(candidates, exact_costs):
-        if c < 0:
+    # need[i] is the bit of the previous candidate of i's class (same weight,
+    # same cost), or 0.  Equal weights are adjacent in candidate order, so
+    # the walk back stays within the run of i's weight.
+    need = []
+    run = 0
+    for i, (r, c) in enumerate(zip(candidates, exact_costs)):
+        if c.numerator < 0:
             raise NegativePrice(f"price of {r!r} is negative: {c}")
-        costs.append(c.numerator * (cost_scale // c.denominator))
+        cost = c.numerator * (cost_scale // c.denominator)
+        if values[i] != values[run]:
+            run = i
+        j = i - 1
+        while j >= run and costs[j] != cost:
+            j -= 1
+        need.append(bits[j] if j >= run else 0)
+        costs.append(cost)
     goal = -(-target.numerator * instance.scale // target.denominator)
-    bits = [1 << instance.resource_index(r) for r in candidates]
     n = len(candidates)
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -231,7 +247,8 @@ def min_cost_configuration(
         # order: exclusion pushed first).
         if val + suffix[i + 1] >= goal:
             stack.append((i + 1, val, cost, chosen))
-        if cost + costs[i] <= best_cost:
+        # A class joins in index order: i only after its class predecessor.
+        if cost + costs[i] <= best_cost and (not need[i] or chosen & need[i]):
             stack.append((i + 1, val + values[i], cost + costs[i], chosen | bits[i]))
 
     if best is None:

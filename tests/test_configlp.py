@@ -155,6 +155,54 @@ class TestMinCostConfiguration:
             if n <= 12:
                 assert enumerate_min_cost(inst, "p", prices, F(2)) == expected
 
+    def test_interchangeable_resources_join_lowest_index_first(self):
+        # Equal values in shuffled input order, names shuffled against it,
+        # price 0 on a random subset S and 1 elsewhere: each free resource is
+        # interchangeable with every other, and at target k the winner is
+        # S's k lowest-index members.
+        rng = random.Random(21)
+        for n in [2, 3, 4, 6, 8, 10, 12] * 4:
+            names = [f"r{k}" for k in rng.sample(range(n), n)]
+            inst = make_instance({r: 1 for r in names}, {"p": rng.sample(names, n)})
+            free = sorted(rng.sample(range(n), rng.randint(1, n)))
+            prices = {r: F(int(j not in free)) for j, r in enumerate(names)}
+            k = rng.randint(1, len(free))
+            expected = (F(0), frozenset(names[j] for j in free[:k]))
+            assert min_cost_configuration(inst, "p", prices, F(k)) == expected
+            assert enumerate_min_cost(inst, "p", prices, F(k)) == expected
+
+    def test_interchangeable_class_skips_unequal_prices(self):
+        # Equal values, prices alternating by index: a resource's class
+        # predecessor is two candidates back, not the adjacent one.  Target
+        # 6 takes the four cheap resources and the two lowest dear ones.
+        names = [f"r{j}" for j in range(8)]
+        inst = make_instance({r: 1 for r in names}, {"p": names[::-1]})
+        prices = {r: F(1 + j % 2, 3) for j, r in enumerate(names)}
+        expected = (F(8, 3), frozenset({"r0", "r1", "r2", "r3", "r4", "r6"}))
+        assert enumerate_min_cost(inst, "p", prices, F(6)) == expected
+        assert min_cost_configuration(inst, "p", prices, F(6)) == expected
+
+    def test_equal_price_unequal_value_is_not_interchangeable(self):
+        # r1 comes first in candidate order (higher value) at r0's price, but
+        # the two are not interchangeable: r0 alone reaches the target and
+        # wins the tie on index.
+        inst = make_instance({"r0": 1, "r1": 2}, {"p": ["r0", "r1"]})
+        prices = {"r0": F(1), "r1": F(1)}
+        expected = (F(1), frozenset({"r0"}))
+        assert enumerate_min_cost(inst, "p", prices, F(1)) == expected
+        assert min_cost_configuration(inst, "p", prices, F(1)) == expected
+
+    def test_interchangeable_resources_past_one_int_digit(self):
+        # 70 equal resources at one price, names shuffled against the input
+        # order: the class masks span several int digits, and target 3 takes
+        # the three lowest indices.
+        rng = random.Random(70)
+        names = [f"r{k}" for k in rng.sample(range(70), 70)]
+        inst = make_instance({r: 1 for r in names}, {"p": rng.sample(names, 70)})
+        prices = {r: F(1, 7) for r in names}
+        expected = (F(3, 7), frozenset(names[:3]))
+        assert min_cost_configuration(inst, "p", prices, F(3)) == expected
+
     def test_smaller_tied_bundle_beats_lower_indices(self):
         # {x, y, u} (indices 0-2) is the first bundle found at cost 2, then
         # {z, w} (indices 3 and 4) ties it: the smaller bundle wins although
@@ -180,23 +228,29 @@ class TestMinCostConfiguration:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_agrees_with_enumeration(self, data):
-        # Denominators up to 1000 make the scaling LCMs large; a palette of
-        # (value, price) pairs makes equal-cost bundles and exercises the
-        # tie rule; zero values, a missing price, a price on a resource the
-        # player does not desire, int values and prices (read as given, with
-        # no `Fraction` copy) and an int target are all drawn.
+        # Denominators up to 1000 make the scaling LCMs large; small separate
+        # palettes of values and of prices make equal-cost bundles, which
+        # exercise the tie rule, and interleave resources of equal value but
+        # unequal price with resources of equal price but unequal value,
+        # which only the first kind may treat as interchangeable; zero
+        # values, a missing price, a price on a resource the player does not
+        # desire, int values and prices (read as given, with no `Fraction`
+        # copy) and an int target are all drawn.
         fractions = st.one_of(
             st.just(F(0)),
             st.integers(0, 2),
             st.fractions(min_value=0, max_value=2, max_denominator=1000),
         )
-        n = data.draw(st.integers(1, 9))
+        n = data.draw(st.integers(1, 12))
         resources = [f"r{j}" for j in range(n)]
         if data.draw(st.booleans()):
-            palette = data.draw(
-                st.lists(st.tuples(fractions, fractions), min_size=1, max_size=3)
-            )
-            pairs = [data.draw(st.sampled_from(palette)) for _ in resources]
+            palettes = [
+                data.draw(st.lists(fractions, min_size=1, max_size=3)) for _ in "vc"
+            ]
+            pairs = [
+                tuple(data.draw(st.sampled_from(palette)) for palette in palettes)
+                for _ in resources
+            ]
         else:
             pairs = [(data.draw(fractions), data.draw(fractions)) for _ in resources]
         values = {r: v for r, (v, _) in zip(resources, pairs)}
