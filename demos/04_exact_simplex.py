@@ -5,9 +5,10 @@ over x >= 0 with integer costs, coefficients and right-hand sides, whose
 "<=" rows have non-negative right-hand sides and whose ">=" rows each have a
 column of their own, such as a shortfall column, so the LP is feasible from
 its starting basis.  Every solve returns exact primal and dual solutions as
-Fractions; `verify_outcome` re-checks feasibility, dual feasibility, equal
-objectives and complementary slackness from scratch, so optimality never
-rests on trust.
+integer numerators over one common denominator, the value of each being
+`Fraction(numerator, outcome.denominator)`; `verify_outcome` re-checks
+feasibility, dual feasibility, equal objectives and complementary slackness
+from scratch in integers, so optimality never rests on trust.
 """
 
 from fractions import Fraction
@@ -30,9 +31,10 @@ lp = LinearProgram.minimize(
 
 outcome = solve_lp(lp)
 print(f"status: {outcome.status}")
-print(f"primal: {[str(x) for x in outcome.primal]}")
-print(f"dual:   {[str(y) for y in outcome.dual]}")
-print(f"objective: {outcome.objective}")
+d = outcome.denominator
+print(f"primal: {[str(Fraction(x, d)) for x in outcome.primal]}")
+print(f"dual:   {[str(Fraction(y, d)) for y in outcome.dual]}")
+print(f"objective: {Fraction(outcome.objective, d)}")
 
 violations = verify_outcome(lp, outcome)
 print(f"independent verification: {'clean' if not violations else violations}")

@@ -6,14 +6,17 @@ resource is used more than once.  The engine works by column generation: a
 phase-1 master minimizes the total player shortfall over a growing column
 pool, and an exact min-cost-configuration search prices new columns.  The
 master is one live `simplex.Tableau` per `clp_feasible` call: each round
-appends its new columns and resumes pivoting from the last optimum.  CLP(T)
-is feasible as soon as an optimum has zero shortfall, and the call returns
-there; pricing runs only at positive shortfall, where the master duals are a
-certified proof of infeasibility once no improving column exists.  A player
-whose dual is 0 is not priced: every cost is >= 0, so it never gains a
-column.  Each claim is checked once, never trusted, and a failure raises
-`VerificationFailed`: feasible weights are re-checked against both
-constraint families, each round's resource prices must be non-negative
+appends its new columns and resumes pivoting from the last optimum.  Its
+outcome is integer numerators over one denominator d, and column generation
+stays on them until the verdict: prices stay the integers d·y and d·z, and
+only the returned weights and infeasibility prices become `Fraction`s.
+CLP(T) is feasible as soon as an optimum has zero shortfall, and the call
+returns there; pricing runs only at positive shortfall, where the master
+duals are a certified proof of infeasibility once no improving column
+exists.  A player whose dual is 0 is not priced: every cost is >= 0, so it
+never gains a column.  Each claim is checked once, never trusted, and a
+failure raises `VerificationFailed`: feasible weights are re-checked against
+both constraint families, each round's resource prices must be non-negative
 before any pricing, infeasibility prices need a positive objective, and
 their dual feasibility is checked by the last round itself, which priced
 every player with a positive dual at those prices and found nothing cheaper.
@@ -51,7 +54,7 @@ from .errors import (
     NegativePrice,
     VerificationFailed,
 )
-from .instances import Instance, bundle_value, format_rational
+from .instances import Instance, format_rational
 from .simplex import LinearProgram, OPTIMAL, Tableau
 from .simplex import solve_lp  # not called here; perfbench/tracing.py wraps it by name
 
@@ -278,6 +281,15 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
     at them without finding an improving column.  Each round checks its
     resource prices z >= 0 before any pricing, so a player whose y is 0 is
     not priced: no column costs less than 0, and its dual constraint holds.
+
+    Every round works on the master's integer numerators over its
+    denominator d > 0: the shortfall, the price checks and the feasible
+    re-check (each player receives >= d, each resource is used <= d) are
+    `int` tests, and pricing runs at the integer prices d·z.  Scaling every
+    cost by d keeps the argmin and the tie rule, so the bundle is the one
+    the rational prices give, at d times the cost, and it is compared with
+    d·y.  `Fraction`s are built only for the verdict: the solution's
+    weights, or the infeasibility prices y and z.
     """
     target = Fraction(target)
     if target < 0:
@@ -294,28 +306,30 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
         outcome = master.optimize()
         if outcome.status != OPTIMAL:  # the master always has the slack point
             raise VerificationFailed(f"master LP reported {outcome.status}")
+        # Every number below is an integer numerator over d.
+        d = outcome.denominator
         if outcome.objective == 0:
             solution = []
-            used: dict[str, Fraction] = {r: _ZERO for r in instance.resources}
-            received: dict[str, Fraction] = {p: _ZERO for p in instance.players}
+            used = dict.fromkeys(instance.resources, 0)
+            received = dict.fromkeys(instance.players, 0)
             for col, j in pool.items():
                 w = outcome.primal[j]
                 if w > 0:
-                    solution.append((col, w))
+                    solution.append((col, Fraction(w, d)))
                     received[col.player] += w
                     for r in col.bundle:
                         used[r] += w
             # Exact re-check of both primal constraint families.
-            if not all(received[p] >= 1 for p in instance.players):
+            if not all(received[p] >= d for p in instance.players):
                 raise VerificationFailed("master solution leaves a player short")
-            if not all(used[r] <= 1 for r in instance.resources):
+            if not all(used[r] <= d for r in instance.resources):
                 raise VerificationFailed("master solution overuses a resource")
             return ClpVerdict(
                 status=FEASIBLE, solution=tuple(solution), transcript=tuple(pool)
             )
         y = {p: outcome.dual[pi] for pi, p in enumerate(instance.players)}
         z = {r: -outcome.dual[m + ri] for ri, r in enumerate(instance.resources)}
-        if min(z.values(), default=_ZERO) < 0:
+        if min(z.values(), default=0) < 0:
             raise VerificationFailed(f"master prices {min(z, key=z.get)!r} below 0")
         pooled = len(pool)
         for p in instance.players:
@@ -332,7 +346,7 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
             if col in pool:
                 raise VerificationFailed(
                     f"pooled column {instance.sorted_resources(bundle)} of {p!r} "
-                    f"priced {cost} < {y[p]} again"
+                    f"priced {Fraction(cost, d)} < {Fraction(y[p], d)} again"
                 )
             column = [0] * len(rows)
             column[instance.player_index(p)] = 1
@@ -341,7 +355,10 @@ def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
             master.append(0, column)
             pool[col] = m + len(pool)
         if len(pool) == pooled:
-            prices = DualCertificate(y=y, z=z)
+            prices = DualCertificate(
+                y={p: Fraction(v, d) for p, v in y.items()},
+                z={r: Fraction(v, d) for r, v in z.items()},
+            )
             if prices.objective <= 0:
                 raise VerificationFailed(
                     f"infeasibility prices have objective {prices.objective} <= 0"
@@ -420,9 +437,13 @@ def compute_T_star(
         if not verdict.feasible:
             hi = mid - 1
             continue
-        floor = min(
-            bundle_value(instance, col.player, col.bundle)
-            for col, _ in verdict.solution
+        # In weight units, then one Fraction: the desired value of each bundle.
+        floor = Fraction(
+            min(
+                sum(weight[r] for r in col.bundle & instance.desired_by(col.player))
+                for col, _ in verdict.solution
+            ),
+            instance.scale,
         )
         if floor < points[mid]:
             raise VerificationFailed(

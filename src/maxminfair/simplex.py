@@ -20,9 +20,11 @@ is fraction-free: Python ints over one common denominator, updated by
 integer-preserving (Bareiss) pivots whose divisions are all exact.  An
 appended column enters as an integer combination of current tableau
 columns, so it keeps that invariant.  Optimal outcomes carry exact primal
-and dual solutions as Fractions; `verify_outcome` re-checks them from
-scratch with plain Fraction arithmetic (feasibility, dual feasibility, equal
-objectives, complementary slackness) without trusting the solver.
+and dual solutions as integer numerators over that one denominator, read off
+the tableau without building a Fraction; `verify_outcome` re-checks them
+from scratch in integers, with the LP's data multiplied by the denominator
+(feasibility, dual feasibility, equal objectives, complementary slackness),
+without trusting the solver.
 
 Scale note: instances in this package have a handful of rows and at most a
 few thousand columns, where exact dense pivoting is entirely adequate.  A
@@ -43,8 +45,6 @@ RELATIONS = ("<=", ">=")
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
-
-_ZERO = Fraction(0)
 
 
 def _require_ints(*values) -> None:
@@ -95,15 +95,20 @@ class LinearProgram:
 class LpOutcome:
     """Solver verdict; primal/dual/objective are set only when optimal.
 
+    They are `int` numerators over the one positive `denominator`: x_j is
+    primal[j] / denominator, and so on.  The fraction is not reduced, so
+    compare values, not numerators, across outcomes.
+
     Dual sign convention: the multiplier of a ">=" row is >= 0, of a "<="
     row is <= 0, and dual . rhs equals the primal objective.
     `verify_outcome` enforces exactly this convention.
     """
 
     status: str
-    primal: Optional[tuple[Fraction, ...]] = None
-    dual: Optional[tuple[Fraction, ...]] = None
-    objective: Optional[Fraction] = None
+    primal: Optional[tuple[int, ...]] = None
+    dual: Optional[tuple[int, ...]] = None
+    objective: Optional[int] = None
+    denominator: int = 1
 
 
 class Tableau:
@@ -231,21 +236,26 @@ class Tableau:
             basis[leave] = enter
             red = rows[m]
 
-        # The slack block sits between the LP's columns and the appended ones.
+        # Every row is d times its rational value, so the outcome is read
+        # off as numerators over d.  The slack block sits between the LP's
+        # columns and the appended ones.
         n = self._n
-        primal = [_ZERO] * (total - m)
+        primal = [0] * (total - m)
         for k, j in enumerate(basis):
             if j < n or j >= n + m:
-                primal[j if j < n else j - m] = Fraction(rows[k][total], d)
-        objective = Fraction(-red[total], d)
+                primal[j if j < n else j - m] = rows[k][total]
 
         # Duals: c_B . B^{-1} e_i.  Each row's starting column was e_i, and
         # every pivot has treated it as it would e_i, so y_i is that
         # column's cost minus its reduced cost.
         costs = self._costs
-        dual = tuple([Fraction(d * costs[s] - red[s], d) for s in self._starts])
+        dual = tuple([d * costs[s] - red[s] for s in self._starts])
         return LpOutcome(
-            status=OPTIMAL, primal=tuple(primal), dual=dual, objective=objective
+            status=OPTIMAL,
+            primal=tuple(primal),
+            dual=dual,
+            objective=-red[total],
+            denominator=d,
         )
 
 
@@ -263,12 +273,17 @@ def verify_outcome(lp: LinearProgram, outcome: LpOutcome) -> list[str]:
     """Independent exact check of an Optimal outcome; returns violations.
 
     Verifies primal feasibility, dual signs and feasibility, equality of the
-    two objectives, and complementary slackness, all with exact arithmetic.
-    An empty list certifies optimality (weak duality makes the certificate
-    self-contained).
+    two objectives, and complementary slackness.  The outcome's numerators
+    are checked against the LP's data multiplied by its denominator, so
+    every sum and comparison is on integers; a denominator that is not a
+    positive `int` is itself a violation.  An empty list certifies
+    optimality (weak duality makes the certificate self-contained).
     """
     if outcome.status != OPTIMAL:
         return [f"outcome status is {outcome.status}, not {OPTIMAL}"]
+    d = outcome.denominator
+    if type(d) is not int or d <= 0:
+        return [f"denominator {d!r} is not a positive int"]
     problems: list[str] = []
     x = outcome.primal
     y = outcome.dual
@@ -277,34 +292,41 @@ def verify_outcome(lp: LinearProgram, outcome: LpOutcome) -> list[str]:
         return ["primal solution missing or wrong width"]
     if y is None or len(y) != len(lp.rows):
         return ["dual solution missing or wrong width"]
+    if outcome.objective is None:
+        return ["objective missing"]
+
+    def q(v):  # a numerator's value, for the messages
+        return Fraction(v, d)
 
     for j, xj in enumerate(x):
         if xj < 0:
-            problems.append(f"x[{j}] = {xj} < 0")
+            problems.append(f"x[{j}] = {q(xj)} < 0")
 
     for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        act = sum((a * xj for a, xj in zip(coeffs, x)), _ZERO)
-        if not (act <= rhs if rel == "<=" else act >= rhs):
-            problems.append(f"row {i}: activity {act} violates {rel} {rhs}")
+        act = sum(a * xj for a, xj in zip(coeffs, x))
+        if not (act <= d * rhs if rel == "<=" else act >= d * rhs):
+            problems.append(f"row {i}: activity {q(act)} violates {rel} {rhs}")
         if (y[i] > 0) if rel == "<=" else (y[i] < 0):
-            problems.append(f"dual[{i}] = {y[i]} has wrong sign for {rel} row")
-        if y[i] != 0 and act != rhs:
+            problems.append(f"dual[{i}] = {q(y[i])} has wrong sign for {rel} row")
+        if y[i] != 0 and act != d * rhs:
             problems.append(f"complementary slackness broken at row {i}")
 
     for j in range(n):
-        aty = sum((lp.rows[i][0][j] * y[i] for i in range(len(lp.rows))), _ZERO)
+        aty = sum(lp.rows[i][0][j] * y[i] for i in range(len(lp.rows)))
         cj = lp.objective[j]
-        if aty > cj:
-            problems.append(f"dual infeasible at column {j}: {aty} > {cj}")
-        if x[j] > 0 and aty != cj:
+        if aty > d * cj:
+            problems.append(f"dual infeasible at column {j}: {q(aty)} > {cj}")
+        if x[j] > 0 and aty != d * cj:
             problems.append(f"complementary slackness broken at column {j}")
 
-    primal_obj = sum((c * xj for c, xj in zip(lp.objective, x)), _ZERO)
-    dual_obj = sum((lp.rows[i][2] * y[i] for i in range(len(lp.rows))), _ZERO)
+    primal_obj = sum(c * xj for c, xj in zip(lp.objective, x))
+    dual_obj = sum(lp.rows[i][2] * y[i] for i in range(len(lp.rows)))
     if primal_obj != dual_obj:
-        problems.append(f"objective mismatch: primal {primal_obj}, dual {dual_obj}")
+        problems.append(
+            f"objective mismatch: primal {q(primal_obj)}, dual {q(dual_obj)}"
+        )
     if outcome.objective != primal_obj:
         problems.append(
-            f"reported objective {outcome.objective} != computed {primal_obj}"
+            f"reported objective {q(outcome.objective)} != computed {q(primal_obj)}"
         )
     return problems

@@ -1,6 +1,8 @@
+import math
 import random
 import textwrap
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -271,6 +273,41 @@ class TestMinCostConfiguration:
         assert min_cost_configuration(inst, "p", prices, target) == enumerate_min_cost(
             inst, "p", prices, target
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_scaled_prices_keep_the_bundle(self, data):
+        # Column generation prices at d·z, integer numerators over the
+        # master's denominator d.  At k times the prices, k >= 1 a multiple
+        # of their common denominator, given as ints and as Fractions, the
+        # bundle is the same and the cost is k times as large.  Small
+        # palettes make ties and interchangeable resources.
+        rationals = st.one_of(
+            st.integers(0, 3),
+            st.fractions(min_value=0, max_value=2, max_denominator=12),
+        )
+        value_palette = data.draw(st.lists(rationals, min_size=1, max_size=3))
+        price_palette = data.draw(st.lists(rationals, min_size=1, max_size=3))
+        resources = [f"r{j}" for j in range(data.draw(st.integers(1, 10)))]
+        inst = make_instance(
+            {r: data.draw(st.sampled_from(value_palette)) for r in resources},
+            {"p": resources},
+        )
+        prices = {r: data.draw(st.sampled_from(price_palette)) for r in resources}
+        target = data.draw(
+            st.one_of(
+                st.integers(0, 3),
+                st.fractions(min_value=0, max_value=4, max_denominator=12),
+            )
+        )
+        common = math.lcm(*(F(c).denominator for c in prices.values()))
+        k = common * data.draw(st.integers(1, 40))
+        base = min_cost_configuration(inst, "p", prices, target)
+        expected = None if base is None else (k * base[0], base[1])
+        as_ints = {r: int(k * c) for r, c in prices.items()}
+        as_fractions = {r: F(v) for r, v in as_ints.items()}
+        for scaled in (as_ints, as_fractions):
+            assert min_cost_configuration(inst, "p", scaled, target) == expected
 
     def test_agrees_with_enumeration_at_certificate_prices(self):
         # Every player's pricing at a stuck state's certificate: on 6x14
@@ -823,6 +860,23 @@ class TestVerificationGates:
         with pytest.raises(VerificationFailed, match="'a' below 0"):
             clp_feasible(two_fat, F(1))
         assert calls == []
+
+    def test_feasible_recheck_reads_weights_over_the_denominator(
+        self, monkeypatch, two_fat
+    ):
+        # The zero-shortfall optimum read over twice its denominator gives
+        # each player half a unit, which the integer re-check must see.
+        optimize = Tableau.optimize
+
+        def halved(tableau):
+            out = optimize(tableau)
+            if out.objective != 0:
+                return out
+            return replace(out, denominator=2 * out.denominator)
+
+        monkeypatch.setattr(Tableau, "optimize", halved)
+        with pytest.raises(VerificationFailed, match="leaves a player short"):
+            clp_feasible(two_fat, F(1))
 
     def test_corrupted_master_raises(self, monkeypatch, two_fat):
         monkeypatch.setattr(Tableau, "optimize", zero_optimize)

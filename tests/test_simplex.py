@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -90,6 +91,14 @@ def brute_force_lp(lp: LinearProgram):
     return OPTIMAL, min(sum(c * x for c, x in zip(cost, p)) for p in points)
 
 
+def objective_value(outcome):
+    """The objective as a rational (None if unset): numerators over different
+    denominators are not comparable."""
+    if outcome.objective is None:
+        return None
+    return F(outcome.objective, outcome.denominator)
+
+
 # ---------------------------------------------------------------------------
 # Pinned examples.
 # ---------------------------------------------------------------------------
@@ -105,7 +114,7 @@ def test_symmetric_face():
     lp = LinearProgram.minimize([-1, -1], [([1, 1], "<=", 1)])
     out = solve_lp(lp)
     assert out.status == OPTIMAL
-    assert out.objective == -1
+    assert objective_value(out) == -1
     assert verify_outcome(lp, out) == []
 
 
@@ -208,7 +217,7 @@ def test_agrees_with_vertex_enumeration(lp):
     out = solve_lp(lp)
     assert out.status == expected_status
     if expected_status == OPTIMAL:
-        assert out.objective == expected_obj
+        assert objective_value(out) == expected_obj
         assert verify_outcome(lp, out) == []
 
 
@@ -252,7 +261,7 @@ def test_appended_columns_reach_the_full_optimum(lp, data):
         out = tableau.optimize()
     expected = solve_lp(full)
     assert out.status == expected.status
-    assert out.objective == expected.objective
+    assert objective_value(out) == objective_value(expected)
     if out.status == OPTIMAL:
         assert verify_outcome(full, out) == []
 
@@ -282,10 +291,65 @@ def test_crash_on_scaled_structural_unit_column():
     )
     out = solve_lp(lp)
     assert out.status == OPTIMAL
-    assert out.primal == (F(0), F(1), F(2))
-    assert out.objective == 8
-    assert out.dual == (F(1), F(2))
+    d = out.denominator
+    assert tuple(F(x, d) for x in out.primal) == (F(0), F(1), F(2))
+    assert F(out.objective, d) == 8
+    assert tuple(F(y, d) for y in out.dual) == (F(1), F(2))
     assert verify_outcome(lp, out) == []
+
+
+# ---------------------------------------------------------------------------
+# The integer verifier: numerators over one positive int denominator.
+# ---------------------------------------------------------------------------
+
+
+def half_camera_triangle():
+    """Cameras at a triangle's corners watch its sides: the optimum is half a
+    camera at each corner, so its denominator is not 1."""
+    lp = LinearProgram.minimize(
+        [1, 1, 1, 3, 3, 3],
+        [
+            ([1, 1, 0, 1, 0, 0], ">=", 1),
+            ([0, 1, 1, 0, 1, 0], ">=", 1),
+            ([1, 0, 1, 0, 0, 1], ">=", 1),
+            ([1, 1, 1, 0, 0, 0], "<=", 2),
+        ],
+    )
+    out = solve_lp(lp)
+    assert out.denominator > 1
+    assert tuple(F(x, out.denominator) for x in out.primal) == (F(1, 2),) * 3 + (0,) * 3
+    assert verify_outcome(lp, out) == []
+    return lp, out
+
+
+@pytest.mark.parametrize("bad", [0, -1, F(1)], ids=["zero", "negative", "fraction"])
+def test_verifier_rejects_a_denominator_that_is_not_a_positive_int(bad):
+    lp, out = half_camera_triangle()
+    assert verify_outcome(lp, replace(out, denominator=bad)) == [
+        f"denominator {bad!r} is not a positive int"
+    ]
+
+
+def test_verifier_accepts_numerators_and_denominator_scaled_together():
+    lp, out = half_camera_triangle()
+    doubled = replace(
+        out,
+        primal=tuple(2 * x for x in out.primal),
+        dual=tuple(2 * y for y in out.dual),
+        objective=2 * out.objective,
+        denominator=2 * out.denominator,
+    )
+    assert verify_outcome(lp, doubled) == []
+
+
+def test_verifier_reads_numerators_over_their_denominator():
+    # The same numerators over twice the denominator are half the values:
+    # every side is then watched only half as much as it needs.
+    lp, out = half_camera_triangle()
+    problems = verify_outcome(lp, replace(out, denominator=2 * out.denominator))
+    assert [p for p in problems if "violates >= 1" in p] == [
+        f"row {i}: activity 1/2 violates >= 1" for i in range(3)
+    ]
 
 
 def test_equality_rows_without_unit_columns_rejected():
