@@ -53,7 +53,7 @@ def construct_dual_certificate(
 ) -> DualCertificate:
     """Prices proving CLP(target) infeasible, computed from a stuck state."""
     assert_stuck(ni, state)
-    active = set(state.active_order)
+    active = state.active
     covered = state.covered
 
     y = {p: (_ACTIVE_PRICE if p in active else _ZERO) for p in ni.base.players}

@@ -161,7 +161,10 @@ class Instance:
 
     def sorted_resources(self, bundle: Iterable[str]) -> list[str]:
         """Canonical (input-order) listing of a resource set."""
-        return sorted(bundle, key=self.resource_index)
+        try:
+            return sorted(bundle, key=self._resource_index.__getitem__)
+        except KeyError as missing:
+            raise UnknownResource(f"unknown resource {missing.args[0]!r}") from None
 
     def to_json_dict(self) -> dict:
         return {

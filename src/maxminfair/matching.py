@@ -26,8 +26,12 @@ A search that halts with no addable edge and no removable blocker is returned
 as a first-class Stuck outcome: it happens exactly when the target exceeds
 the configuration-LP optimum, and the stuck state is the raw material for an
 infeasibility certificate (see `certificates`).  A finished search keeps each
-fact once: the final matching or the stuck state, and one trace per
-extension run; the states and matchings of earlier runs are dropped.
+fact once: the final matching or the stuck state, and one record per step of
+each extension run; the states and matchings of earlier runs are dropped.  A
+record holds what the step changed: its kind, player, bundle and blocker, and
+the one signature entry that moved (a build or contraction leaves the entries
+below the top blocker as they were).  `TraceEvent`s, with sorted bundles and
+whole signatures, are built from the records only when a trace is read.
 """
 
 from __future__ import annotations
@@ -145,10 +149,11 @@ class Blocker:
 class SearchState:
     """Mutable state of one extension run: matching, blockers, coverage.
 
-    `covered` and the activation order are derived from the blocker
-    sequence: a build extends them, a contraction rebuilds them from the
-    kept blockers.  `oracle.check_state_invariants` recomputes both from
-    their definitions and compares.
+    `covered`, the activation order and `active` (the same players as a set,
+    for membership tests) are derived from the blocker sequence: a build
+    extends them, a contraction rebuilds them from the kept blockers.
+    `oracle.check_state_invariants` recomputes them from their definitions
+    and compares.
     """
 
     def __init__(
@@ -166,9 +171,10 @@ class SearchState:
         self.blockers: list[Blocker] = []
         self.covered: set[str] = set()
         self.active_order: list[str] = [root_player]
+        self.active: set[str] = {root_player}
 
     def is_active(self, player: str) -> bool:
-        return player in self.active_order
+        return player in self.active
 
 
 def is_minimal_thin_edge(
@@ -252,6 +258,7 @@ def build_step(state: SearchState, edge: Edge) -> SearchState:
                 f"blocking edge of {e.player!r}, who is already active"
             )
         state.active_order.append(e.player)
+        state.active.add(e.player)
     return state
 
 
@@ -288,13 +295,14 @@ def contract_step(state: SearchState) -> Optional[Matching]:
     kept = tuple(e for e in state.blockers[j].blocking if e is not freed)
     state.blockers[j] = Blocker(candidate=state.blockers[j].candidate, blocking=kept)
     del state.blockers[j + 1 :]
-    covered, order = set(), [state.root_player]
+    covered, order, active = set(), [state.root_player], {state.root_player}
     for b in state.blockers:
         covered |= b.candidate.bundle
         for e in b.blocking:
             covered |= e.bundle
             order.append(e.player)
-    state.covered, state.active_order = covered, order
+            active.add(e.player)
+    state.covered, state.active_order, state.active = covered, order, active
     return None
 
 
@@ -306,7 +314,12 @@ def signature(state: SearchState) -> tuple:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One step of an extension run, for logging and signature monitoring."""
+    """One step of an extension run, for logging and signature monitoring.
+
+    Built by `replay_trace` from the step's record: `bundle` lists the
+    resources in input order, and `signature` is the whole signature after
+    the step (a terminate or stuck step leaves it as it was).
+    """
 
     step: int
     kind: str  # build | contract | terminate | stuck
@@ -326,6 +339,34 @@ class TraceEvent:
         }
 
 
+def replay_trace(
+    ni: NormalizedInstance, records: Iterable[tuple]
+) -> tuple[TraceEvent, ...]:
+    """The events of one extension run, rebuilt from its step records.
+
+    A record is (kind, player, bundle, blocker_index, depth, entry).  A build
+    or contraction keeps the signature's first `depth` entries, sets the next
+    to `entry` (the new top blocker's blocking-set size) and drops the rest;
+    a terminate or stuck step (`depth` None) leaves the signature as it was.
+    """
+    sig = (INFINITY,)
+    events = []
+    for step, (kind, player, bundle, blocker_index, depth, entry) in enumerate(records):
+        if depth is not None:
+            sig = (*sig[:depth], entry, INFINITY)
+        events.append(
+            TraceEvent(
+                step=step,
+                kind=kind,
+                player=player,
+                bundle=tuple(ni.base.sorted_resources(bundle)),
+                blocker_index=blocker_index,
+                signature=sig,
+            )
+        )
+    return tuple(events)
+
+
 def trace_signatures(trace: Iterable[TraceEvent]) -> tuple[tuple, ...]:
     """Signature sequence of a run: initial state, then every state change
     (terminal events do not alter the blocker sequence)."""
@@ -336,14 +377,22 @@ def trace_signatures(trace: Iterable[TraceEvent]) -> tuple[tuple, ...]:
 
 @dataclass(frozen=True)
 class ExtendOutcome:
+    """One extension run: its matching if extended, its final state, and one
+    record per step (see `replay_trace`); `trace` rebuilds the events on
+    every read and keeps none."""
+
     status: str  # extended | stuck
     matching: Optional[Matching]
     state: SearchState
-    trace: tuple[TraceEvent, ...]
+    records: tuple[tuple, ...]
 
     @property
     def extended(self) -> bool:
         return self.status == "extended"
+
+    @property
+    def trace(self) -> tuple[TraceEvent, ...]:
+        return replay_trace(self.state.normalized, self.records)
 
     @property
     def signatures(self) -> tuple[tuple, ...]:
@@ -366,47 +415,40 @@ def extend_matching(
     `on_step` runs after every step, e.g. to audit invariants.
     """
     state = SearchState(ni, matching, root_player)
-    trace: list[TraceEvent] = []
+    records: list[tuple] = []
     last_sig = signature(state)
-
-    def emit(kind, player, bundle, blocker_index):
-        trace.append(
-            TraceEvent(
-                step=len(trace),
-                kind=kind,
-                player=player,
-                bundle=tuple(ni.base.sorted_resources(bundle)) if bundle else (),
-                blocker_index=blocker_index,
-                signature=signature(state),
-            )
-        )
 
     while True:
         if state.blockers and state.blockers[-1].removable:
             top = len(state.blockers) - 1
             touched = state.blockers[top].candidate
             result = contract_step(state)
+            bundle = tuple(touched.bundle)
             if result is not None:
-                emit("terminate", touched.player, touched.bundle, top)
+                records.append(("terminate", touched.player, bundle, top, None, None))
                 if on_step is not None:
                     on_step(state)
-                return ExtendOutcome("extended", result, state, tuple(trace))
-            emit("contract", touched.player, touched.bundle, top)
+                return ExtendOutcome("extended", result, state, tuple(records))
+            depth = len(state.blockers) - 1
+            entry = len(state.blockers[depth].blocking)
+            records.append(("contract", touched.player, bundle, top, depth, entry))
         else:
             edge = find_addable_edge(ni, state)
             if edge is None:
-                emit("stuck", None, None, None)
-                return ExtendOutcome("stuck", None, state, tuple(trace))
+                records.append(("stuck", None, (), None, None, None))
+                return ExtendOutcome("stuck", None, state, tuple(records))
             build_step(state, edge)
-            emit("build", edge.player, edge.bundle, len(state.blockers) - 1)
+            depth = len(state.blockers) - 1
+            entry = len(state.blockers[depth].blocking)
+            records.append(("build", edge.player, tuple(edge.bundle), depth, depth, entry))
         if on_step is not None:
             on_step(state)
         # Progress guard: every step strictly drops the signature, so the
         # run halts.
-        sig = trace[-1].signature
+        sig = signature(state)
         if not sig < last_sig:
             raise VerificationFailed(
-                f"signature did not decrease at step {len(trace) - 1}: "
+                f"signature did not decrease at step {len(records) - 1}: "
                 f"{last_sig} -> {sig}"
             )
         last_sig = sig
@@ -414,26 +456,33 @@ def extend_matching(
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """The final matching (if perfect) or the stuck state, and one trace per
-    extension run, in player order."""
+    """The final matching (if perfect) or the stuck state, and the step
+    records of each extension run, in player order.  `traces` rebuilds the
+    events from the records on every read, sorting bundles by `normalized`;
+    `builds` and `contracts` count the records."""
 
     status: str  # perfect | stuck
     matching: Optional[Matching]
     state: Optional[SearchState]
-    traces: tuple[tuple[TraceEvent, ...], ...]
+    normalized: NormalizedInstance
+    records: tuple[tuple[tuple, ...], ...]
 
     @property
     def perfect(self) -> bool:
         return self.status == "perfect"
 
     @property
+    def traces(self) -> tuple[tuple[TraceEvent, ...], ...]:
+        return tuple(replay_trace(self.normalized, run) for run in self.records)
+
+    @property
     def builds(self) -> int:
-        return sum(ev.kind == "build" for trace in self.traces for ev in trace)
+        return sum(rec[0] == "build" for run in self.records for rec in run)
 
     @property
     def contracts(self) -> int:
         return sum(
-            ev.kind in ("contract", "terminate") for trace in self.traces for ev in trace
+            rec[0] in ("contract", "terminate") for run in self.records for rec in run
         )
 
 
@@ -444,14 +493,14 @@ def find_perfect_matching(
 ) -> SearchOutcome:
     """Match every player by repeated extension, or surface the first Stuck state."""
     matching = Matching.empty()
-    traces = []
+    records = []
     for p in ni.base.players:
         outcome = extend_matching(ni, matching, p, on_step=on_step)
-        traces.append(outcome.trace)
+        records.append(outcome.records)
         if not outcome.extended:
-            return SearchOutcome("stuck", None, outcome.state, tuple(traces))
+            return SearchOutcome("stuck", None, outcome.state, ni, tuple(records))
         matching = outcome.matching
-    return SearchOutcome("perfect", matching, None, tuple(traces))
+    return SearchOutcome("perfect", matching, None, ni, tuple(records))
 
 
 def complete_allocation(

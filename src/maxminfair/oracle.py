@@ -310,6 +310,8 @@ def check_state_invariants(
         order += sorted((e.player for e in b.blocking), key=ni.base.player_index)
     if state.active_order != order:
         bad("active-recompute", "incremental activation order drifted")
+    if state.active != set(order):
+        bad("active-set-recompute", "incremental active set drifted")
 
     activators = Counter(e.player for b in blockers for e in b.blocking)
     for p, count in activators.items():

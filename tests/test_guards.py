@@ -36,9 +36,44 @@ def test_negative_price_is_raised_only_by_pricing():
     assert raised == ["configlp.min_cost_configuration"]
 
 
+def test_trace_events_are_built_only_by_the_replay():
+    # A search keeps one record per step; events, with sorted bundles and
+    # whole signatures, are rebuilt from the records when a trace is read.
+    built = [
+        f"{path.stem}.{scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in _calling_scopes(ast.parse(path.read_text()), "TraceEvent")
+    ]
+    assert built == ["matching.replay_trace"]
+
+
+def _is_named(node, name):
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
 def _raising_scopes(tree, name):
     """The innermost enclosing function (None at module level) of each
     `raise name(...)` or `raise name` in `tree`."""
+
+    def raises(node):
+        if not isinstance(node, ast.Raise):
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return _is_named(exc, name)
+
+    return _scopes_of(tree, raises)
+
+
+def _calling_scopes(tree, name):
+    """The innermost enclosing function of each call `name(...)` in `tree`."""
+
+    def calls(node):
+        return isinstance(node, ast.Call) and _is_named(node.func, name)
+
+    return _scopes_of(tree, calls)
+
+
+def _scopes_of(tree, matches):
     found = []
 
     def visit(node, scope):
@@ -46,10 +81,8 @@ def _raising_scopes(tree, name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Raise):
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if name in (getattr(exc, "id", None), getattr(exc, "attr", None)):
-                    found.append(scope)
+            if matches(child):
+                found.append(scope)
             visit(child, scope)
 
     visit(tree, None)

@@ -189,6 +189,14 @@ class TestBundleValue:
             bundle_value(two_fat, "p1", {"nope"})
 
 
+def test_sorted_resources_lists_in_input_order_and_names_an_unknown_id():
+    inst = make_instance({"c": "1", "a": "1", "b": "1"}, {"p": ["a"]})
+    assert inst.sorted_resources({"a", "b", "c"}) == ["c", "a", "b"]
+    assert inst.sorted_resources(()) == []
+    with pytest.raises(UnknownResource, match=r"^unknown resource 'zz'$"):
+        inst.sorted_resources({"a", "zz"})
+
+
 class TestNormalize:
     def test_target_one_keeps_values(self):
         inst = make_instance(

@@ -34,6 +34,7 @@ from maxminfair.matching import (
     Edge,
     Matching,
     SearchState,
+    TraceEvent,
     build_step,
     contract_step,
     edge_in_hypergraph,
@@ -484,8 +485,9 @@ def reachable(root):
 
 
 class TestRetainedOutcome:
-    """A finished search keeps the final matching or the stuck state, and one
-    trace per extension run: nothing else of the runs before."""
+    """A finished search keeps the final matching or the stuck state, and the
+    step records of each extension run: nothing else of the runs before, and
+    no trace event."""
 
     def test_outcome_holds_one_state_and_the_traces(self, monkeypatch):
         runs = []
@@ -507,6 +509,7 @@ class TestRetainedOutcome:
                 found = reachable(out)
                 states = [o for o in found if isinstance(o, SearchState)]
                 matchings = [o for o in found if isinstance(o, Matching)]
+                assert not any(isinstance(o, TraceEvent) for o in found)
                 if out.perfect:
                     assert states == [] and len(matchings) == 1
                     assert matchings[0] is out.matching
@@ -516,6 +519,54 @@ class TestRetainedOutcome:
                     assert len(matchings) == 1 and matchings[0] is out.state.matching
                     assert runs[-1] == out.state.root_player
         assert statuses == {"perfect", "stuck"}
+
+
+class TestReplayedTrace:
+    """Events are rebuilt from the step records on every read, and carry the
+    signatures the search saw."""
+
+    def test_replayed_signatures_are_the_searched_ones(self):
+        statuses = set()
+        for kind in KINDS:
+            for players, resources in ((6, 14), (12, 30), (30, 80)):
+                inst = generate_instance(kind, players, resources, 1)
+                for f in (F(1, 8), F(1, 2), F(1), F(2)):
+                    ni = normalize(inst, ceiling(inst) * f)
+                    seen = {}
+
+                    def capture(state):
+                        runs = seen.setdefault(state.root_player, [])
+                        runs.append(signature(state))
+
+                    out = find_perfect_matching(ni, on_step=capture)
+                    statuses.add(out.status)
+                    traces = out.traces
+                    assert traces == out.traces
+                    runs = players if out.perfect else inst.players.index(out.state.root_player) + 1
+                    assert len(traces) == runs
+                    for root, trace in zip(inst.players, traces):
+                        captured = seen.get(root, [])
+                        last = trace[-1]
+                        if last.kind == "stuck":
+                            # `on_step` does not run after a stuck step.
+                            captured.append(signature(out.state))
+                        assert [ev.signature for ev in trace] == captured
+                        # A terminal step leaves the blocker sequence as it was.
+                        assert last.kind in ("terminate", "stuck")
+                        before = trace[-2].signature if len(trace) > 1 else (INFINITY,)
+                        assert last.signature == before
+                        assert trace_signatures(trace) == ((INFINITY,), *captured[:-1])
+        assert statuses == {"perfect", "stuck"}
+
+    def test_bundles_are_sorted_on_read_and_reads_agree(self):
+        inst = generate_instance("fat-thin-mix", 12, 30, 2)
+        ni = normalize(inst, ceiling(inst) / 4)
+        out = extend_matching(ni, Matching.empty(), inst.players[0])
+        assert out.trace == out.trace
+        for ev, record in zip(out.trace, out.records, strict=True):
+            assert list(ev.bundle) == sorted(record[2], key=inst.resource_index)
+        search = find_perfect_matching(ni)
+        assert search.traces[0] == out.trace
 
 
 class TestBlockingOrder:

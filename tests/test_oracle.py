@@ -150,6 +150,16 @@ class TestCheckStateInvariants:
         report = check_state_invariants(ni, state)
         assert [v.invariant for v in report.violations] == ["active-recompute"]
 
+    def test_detects_drifted_active_set(self, shared_single):
+        # Plant: an honest activation order, but a membership set that lost
+        # p1, or that gained a player nobody activated.
+        for drift in ({"p2"}, {"p1", "p2", "p3"}):
+            ni, state = self._fuzzed_state(shared_single)
+            assert state.active == {"p1", "p2"}
+            state.active = set(drift)
+            report = check_state_invariants(ni, state)
+            assert [v.invariant for v in report.violations] == ["active-set-recompute"]
+
     def test_detects_player_activated_twice(self):
         # Plant: p1's thin edge {a, b} blocks both of p2's candidates, one
         # through a and one through b.
