@@ -8,7 +8,8 @@ success/allocated (and `--help`), 1 failed verification (a solver fault is
 reported by `main` alone, as `internal error:`; or standard output closed
 before the report was written, as by `| head`), 2 certified infeasible, 3
 input error (a malformed command line or too deeply nested JSON included),
-4 budget exceeded (an enumeration, or a reported value past 4300 digits).
+4 budget exceeded (the `gap` oracle's enumeration, or a reported value past
+4300 digits).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .certificates import (
     construct_dual_certificate,
     verify_certificate_feasibility,
 )
-from .configlp import DEFAULT_BREAKPOINT_BUDGET, bracket_T_star, compute_T_star
+from .configlp import compute_T_star
 from .errors import (
     BudgetExceeded,
     InvalidInstance,
@@ -122,36 +123,16 @@ def _load_instance(path: str) -> Instance:
     return validate_instance(_load_json(path))
 
 
-def _resolve_t_star(instance: Instance, delta: Fraction, budget: int):
-    """Exact optimal target when the breakpoint budget allows, else a bracket."""
-    try:
-        t_star = compute_T_star(instance, budget=budget)
-    except BudgetExceeded:
-        lo = bracket_T_star(instance, delta)
-        return lo, {
-            "mode": "bracket",
-            "feasible": format_rational(lo),
-            "infeasible_beyond": format_rational(lo + delta),
-        }
-    return t_star, {"mode": "exact", "value": format_rational(t_star)}
-
-
 def cmd_solve(args) -> int:
     start = time.perf_counter()
     instance = _load_instance(args.instance)
-    # Checked here, not only in `bracket_T_star`, so that a bad argument fails
-    # before the T* search whatever the size of the instance.
-    delta = parse_rational(args.delta)
-    if delta <= 0:
-        raise InvalidTarget(f"delta must be positive, got {delta}")
     target = None if args.target == "auto" else parse_rational(args.target)
     if target is not None and target < 0:
         raise InvalidTarget(f"target must be non-negative, got {target}")
-    if args.budget < 1:
-        raise InvalidInstance(f"budget must be at least 1, got {args.budget}")
     t_star_info = None
     if target is None:
-        target, t_star_info = _resolve_t_star(instance, delta, args.budget)
+        target = compute_T_star(instance)
+        t_star_info = {"mode": "exact", "value": format_rational(target)}
 
     result = solve(instance, target)
     search = result.search
@@ -169,7 +150,7 @@ def cmd_solve(args) -> int:
     ratio = None
     if result.allocation is not None:
         per_player = {p: format_rational(v) for p, v in result.values.items()}
-        if t_star_info is not None and t_star_info["mode"] == "exact" and target > 0:
+        if t_star_info is not None and target > 0:
             ratio = result.min_value / target
 
         allocation_json = {
@@ -225,15 +206,13 @@ def cmd_gen(args) -> int:
 def cmd_gap(args) -> int:
     if args.trials < 0:
         raise InvalidInstance(f"trials must be non-negative, got {args.trials}")
-    if args.budget < 1:
-        raise InvalidInstance(f"budget must be at least 1, got {args.budget}")
     rows = []
     max_gap: Optional[Fraction] = None
     for trial in range(args.trials):
         instance = generate_instance(
             args.kind, args.players, args.resources, args.seed + trial
         )
-        t_star = compute_T_star(instance, budget=args.budget)
+        t_star = compute_T_star(instance)
         opt = brute_force_opt(instance)
         min_value = None
         ratio = None
@@ -312,14 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance end to end")
     solve.add_argument("--instance", required=True, help="instance JSON path")
     solve.add_argument("--target", default="auto", help="'auto' or an exact rational")
-    solve.add_argument("--delta", default="1/1000", help="bracket width for oversized instances")
-    solve.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_BREAKPOINT_BUDGET,
-        help="cap on the per-player subset sums, summed over players, "
-        "before T* falls back to a --delta bracket",
-    )
     solve.add_argument("--trace", default=None, help="write step trace lines here")
     solve.add_argument("--out", default=None, help="write the allocation JSON here")
     solve.set_defaults(func=cmd_solve)
@@ -338,13 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     gap.add_argument("--resources", type=int, required=True)
     gap.add_argument("--trials", type=int, default=10)
     gap.add_argument("--seed", type=int, default=0)
-    gap.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_BREAKPOINT_BUDGET,
-        help="cap on the per-player subset sums, summed over players; "
-        "a trial past it exits 4",
-    )
     gap.set_defaults(func=cmd_gap)
 
     verify = sub.add_parser("verify", help="check an allocation against a threshold")

@@ -23,25 +23,26 @@ every player with a positive dual at those prices and found nothing cheaper.
 
 The optimal target T* is the largest T at which CLP(T) is feasible.
 Feasibility only changes when the configuration sets change, i.e. at
-subset-sum values of some player's desired resources, so `compute_T_star`
-binary-searches those breakpoints, within two proven bounds.  No probe lies
-above the cap min(ceiling, wanted / m): above the smallest total desired
-value of a player, that player has no configuration, and CLP(T) needs m
-units of configurations worth >= T each from resources used at most once,
-so m·T is at most the total value `wanted` of the desired resources.  And a
-feasible probe lifts the lower end to its floor, the smallest value of a
-bundle its solution uses: the same solution is feasible there, and that
-value is a subset sum, so a breakpoint.  Both the breakpoints and the pricing
-read the instance's integer values (`Instance.weight`, over the one common
-denominator `Instance.scale`), so the only LCM computed here is the one of
-the prices.  When the breakpoints exceed the work budget (the per-player
-distinct sums, added up over the players), `bracket_T_star` bisects instead
-and returns T* to a requested accuracy.
+subset-sum values of some player's desired resources, so T* is one of them.
+`compute_T_star` bisects the grid of the instance's integer values
+(`Instance.weight`, over the one common denominator `Instance.scale`) between
+two proven bounds, and each verdict moves one bound to a subset sum.  No
+probe lies above the cap min(ceiling, wanted / m): above the smallest total
+desired value of a player, that player has no configuration, and CLP(T)
+needs m units of configurations worth >= T each from resources used at most
+once, so m·T is at most the total value `wanted` of the desired resources.
+A feasible probe lifts the lower end to its floor, the smallest value of a
+bundle its solution uses: the same solution is feasible there.  An
+infeasible probe lowers the upper end to its top, the largest value of a
+bundle that costs less than its player's price y, over the players with
+y > 0: above the top every configuration costs at least its player's y, so
+the probe's prices stay dual feasible with a positive objective, and CLP is
+infeasible there.  Both the pricing and these bounds read the instance's
+integer values, so the only LCMs computed here are the ones of the prices.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -405,69 +406,99 @@ def _ceiling(instance: Instance) -> int:
     return min(sum(weight[r] for r in c) for c in instance.candidates.values())
 
 
-def compute_T_star(
-    instance: Instance, *, budget: int = DEFAULT_BREAKPOINT_BUDGET
-) -> Fraction:
-    """T*, the largest target at which CLP is feasible.
+def _top(instance: Instance, prices: DualCertificate) -> int:
+    """The largest weight of a bundle that costs less than its player's y at
+    the resource prices z, over the players with y > 0, in `weight` units.
 
-    Binary search over the subset-sum breakpoints, one `clp_feasible` probe
-    per step; raises BudgetExceeded when the breakpoints exceed `budget`.
-    `points[lo]` is always proven feasible and every point above `hi` proven
-    infeasible, and two facts tighten the bracket without an LP:
+    One integer max-value branch and bound per priced player: its candidates
+    in search order, costs scaled by the LCM of their denominators and y's,
+    and a node cut when even all the remaining candidates cannot lift it
+    above the best weight found so far, for this player or an earlier one.
+    """
+    top = -1
+    for p, y in prices.y.items():
+        if y <= 0:
+            continue
+        candidates = instance.candidates[p]
+        values = [instance.weight[r] for r in candidates]
+        exact_costs = [prices.z[r] for r in candidates]
+        cost_scale = reduce(lcm, (c.denominator for c in exact_costs), y.denominator)
+        costs = [c.numerator * (cost_scale // c.denominator) for c in exact_costs]
+        spend = y.numerator * (cost_scale // y.denominator) - 1  # cost < y
+        suffix = [0] * (len(values) + 1)
+        for i in range(len(values) - 1, -1, -1):
+            suffix[i] = suffix[i + 1] + values[i]
+        stack = [(0, 0, 0)]  # (next candidate, value, cost)
+        while stack:
+            i, val, cost = stack.pop()
+            top = max(top, val)
+            if val + suffix[i] <= top:
+                continue
+            stack.append((i + 1, val, cost))
+            if cost + costs[i] <= spend:
+                stack.append((i + 1, val + values[i], cost + costs[i]))
+    return top
 
-    - the cap: no probe lies above min(ceiling, wanted / m).  The ceiling is
-      the smallest total desired value of a player, who has no configuration
-      above it.  `wanted` is the total value of the resources someone
-      desires: CLP(T) puts m units of configurations worth >= T each on
-      resources used at most once, so m·T <= wanted.
+
+def compute_T_star(instance: Instance) -> Fraction:
+    """T*, the largest target at which CLP is feasible, exactly.
+
+    Bisection on the grid of `weight` units (T·scale): `lo` is always proven
+    feasible and every target above `hi` proven infeasible, each probe is
+    one `clp_feasible` call at the upper middle, and three proven bounds
+    narrow the search without an LP:
+
+    - the cap: `hi` starts at min(ceiling, wanted / m), rounded down.  The
+      ceiling is the smallest total desired value of a player, who has no
+      configuration above it.  `wanted` is the total value of the resources
+      someone desires: CLP(T) puts m units of configurations worth >= T
+      each on resources used at most once, so m·T <= wanted.
     - the floor jump: a feasible verdict's solution is also feasible at its
       floor, the smallest value of a bundle it uses, since each such bundle
-      is a configuration there.  The floor is a subset sum of its player's
-      desired resources, so a breakpoint, and `lo` moves up to it.
+      is a configuration there, and `lo` moves up to it.
+    - the top jump: an infeasible verdict's prices (y, z) are dual feasible
+      at the probe, so no configuration there costs less than its player's
+      y.  Its top is the largest value of a bundle that costs less than its
+      player's y, over the players with y > 0 (a player with y = 0 never
+      violates a dual constraint, as z >= 0).  Above the top every
+      configuration costs at least its player's y, so (y, z) stay dual
+      feasible with a positive objective and CLP is infeasible: `hi` moves
+      down to the top.
+
+    Each probe at least halves hi - lo, so the search ends after at most
+    `hi.bit_length()` probes, with lo = hi = T*·scale.  The floor and the
+    top are subset sums, so it also makes at most one probe more than there
+    are positive subset sums up to the cap.  A floor below the probe, or a
+    top at or above the probe or below `lo`, contradicts a proven bound and
+    raises `VerificationFailed`.
     """
-    points = subset_sum_breakpoints(instance, budget=budget)
-    weight, m = instance.weight, len(instance.players)
+    weight, m, scale = instance.weight, len(instance.players), instance.scale
     wanted = sum(weight[r] for r in set().union(*instance.candidates.values()))
-    cap = Fraction(min(m * _ceiling(instance), wanted), m * instance.scale)
     # CLP(0) is always feasible: the empty bundle is a configuration.
-    lo, hi = 0, bisect_right(points, cap) - 1
+    lo, hi = 0, min(m * _ceiling(instance), wanted) // m
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        verdict = clp_feasible(instance, points[mid])
+        target = Fraction(mid, scale)
+        verdict = clp_feasible(instance, target)
         if not verdict.feasible:
-            hi = mid - 1
+            top = _top(instance, verdict.prices)
+            if not lo <= top < mid:
+                raise VerificationFailed(
+                    f"prices at {target} leave a bundle worth {Fraction(top, scale)} "
+                    f"cheaper than its player's price, outside "
+                    f"[{Fraction(lo, scale)}, {target})"
+                )
+            hi = top
             continue
-        # In weight units, then one Fraction: the desired value of each bundle.
-        floor = Fraction(
-            min(
-                sum(weight[r] for r in col.bundle & instance.desired_by(col.player))
-                for col, _ in verdict.solution
-            ),
-            instance.scale,
+        # The desired value of each bundle, in weight units.
+        floor = min(
+            sum(weight[r] for r in col.bundle & instance.desired_by(col.player))
+            for col, _ in verdict.solution
         )
-        if floor < points[mid]:
+        if floor < mid:
             raise VerificationFailed(
-                f"feasible solution at {points[mid]} uses a bundle worth {floor}"
+                f"feasible solution at {target} uses a bundle worth "
+                f"{Fraction(floor, scale)}"
             )
-        lo = bisect_right(points, floor, mid, hi + 1) - 1
-    return points[lo]
-
-
-def bracket_T_star(instance: Instance, delta: Fraction) -> Fraction:
-    """A feasible target within `delta` of T*: T* - delta < result <= T*.
-
-    Bisects from 0 to one above the smallest total desired value, so it
-    needs no breakpoints; CLP(result + delta) is infeasible.
-    """
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise InvalidTarget(f"delta must be positive, got {delta}")
-    ceiling = Fraction(_ceiling(instance), instance.scale)
-    lo, hi = _ZERO, ceiling + 1  # hi exceeds every feasible target
-    while hi - lo > delta:
-        mid = (lo + hi) / 2
-        if clp_feasible(instance, mid).feasible:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        lo = min(floor, hi)
+    return Fraction(lo, scale)

@@ -205,15 +205,9 @@ class TestSolve:
         with pytest.raises(VerificationFailed, match="resource 'r'"):
             solve(shared_single, F(1))
 
-    def test_oversized_derived_value_is_a_budget_error(
-        self, monkeypatch, capsys, tmp_path
-    ):
+    def test_oversized_derived_value_is_a_budget_error(self, capsys, tmp_path):
         # Every value is within the parse bound, but T* has a denominator of
         # about 5,000 digits, past the bound that formatting enforces.
-        def unreachable(*args, **kwargs):
-            pytest.fail("a formatting error started the bracket search")
-
-        monkeypatch.setattr(cli, "bracket_T_star", unreachable)
         denominators = [2**3300, 3**2090, 5**1430, 7**1180, 11**960]
         inst = make_instance(
             {f"r{k}": f"1/{q}" for k, q in enumerate(denominators)},
@@ -244,19 +238,8 @@ class TestSolve:
         [
             ["--target", "abc"],
             ["--target", "-1"],
-            ["--delta", "-1"],
-            ["--delta", "0", "--budget", "1"],
-            ["--budget", "-1"],
-            ["--budget", "0"],
         ],
-        ids=[
-            "target-not-rational",
-            "target-negative",
-            "delta-negative",
-            "delta-zero",
-            "budget-negative",
-            "budget-zero",
-        ],
+        ids=["target-not-rational", "target-negative"],
     )
     def test_bad_arguments_fail_before_t_star(
         self, monkeypatch, capsys, tmp_path, two_fat, argv
@@ -276,7 +259,6 @@ class TestSolve:
             pytest.fail("the T* search ran although the target was given")
 
         monkeypatch.setattr(cli, "compute_T_star", unreachable)
-        monkeypatch.setattr(cli, "bracket_T_star", unreachable)
         inst_path = write_instance(tmp_path, shared_single)
         code, report = run_cli(capsys, "solve", "--instance", inst_path, "--target", "1")
         assert code == EXIT_INFEASIBLE
@@ -300,21 +282,6 @@ class TestSolve:
         argv = ["solve", "--instance", inst_path, "--target", "1e100000000"]
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().out == ""
-
-    def test_bracket_fallback_on_tiny_budget(self, capsys, tmp_path, ten_thin):
-        inst_path = write_instance(tmp_path, ten_thin)
-        code, report = run_cli(
-            capsys,
-            "solve", "--instance", inst_path,
-            "--budget", "4", "--delta", "1/8",
-        )
-        assert code == EXIT_OK
-        assert report["outcome"] == "Allocated"
-        assert report["t_star"]["mode"] == "bracket"
-        lo = F(report["t_star"]["feasible"])
-        assert F(7, 8) <= lo <= 1  # true optimum is 1
-        assert report["ratio"] is None
-        assert F(report["min_value"]) >= F(6, 23) * lo
 
 
 class TestVerify:
@@ -538,19 +505,6 @@ class TestGap:
         assert captured.out == ""
         assert captured.err.startswith("input error:")
 
-    def test_budget_below_one(self, monkeypatch, capsys):
-        def unreachable(*args, **kwargs):
-            pytest.fail("the T* search ran before the budget was checked")
-
-        monkeypatch.setattr(cli, "compute_T_star", unreachable)
-        code = main(
-            ["gap", "--players", "3", "--resources", "5", "--budget", "-1"]
-        )
-        assert code == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("input error:")
-
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, two_fat, command):
@@ -571,10 +525,10 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, two_fat, command
     "argv",
     [
         ["solve"],
-        ["solve", "--instance", "instance.json", "--budget", "abc"],
+        ["gen", "--players", "abc", "--resources", "3"],
         ["gen", "--kind", "nope", "--players", "2", "--resources", "3"],
     ],
-    ids=["missing-instance", "budget-not-int", "unknown-kind"],
+    ids=["missing-instance", "players-not-int", "unknown-kind"],
 )
 def test_usage_errors_are_input_errors(capsys, argv):
     assert main(argv) == EXIT_INPUT
@@ -583,16 +537,28 @@ def test_usage_errors_are_input_errors(capsys, argv):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--budget", "4"],
+        ["solve", "--delta", "1/8"],
+        ["gap", "--players", "3", "--resources", "5", "--budget", "4"],
+    ],
+    ids=["solve-budget", "solve-delta", "gap-budget"],
+)
+def test_removed_options_are_input_errors(capsys, tmp_path, two_fat, argv):
+    # T* is always exact: no breakpoint budget, no bracket width.
+    if argv[0] == "solve":
+        argv = [*argv, "--instance", write_instance(tmp_path, two_fat)]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
 def test_help_exits_ok(capsys):
     assert main(["solve", "--help"]) == EXIT_OK
     assert "--instance" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("command", ["solve", "gap"])
-def test_budget_help_states_what_it_counts(capsys, command):
-    assert main([command, "--help"]) == EXIT_OK
-    help_text = " ".join(capsys.readouterr().out.split())
-    assert "per-player subset sums, summed over players" in help_text
 
 
 def test_closed_stdout_exits_quietly(monkeypatch, capsys, tmp_path, two_fat):

@@ -23,7 +23,8 @@ from maxminfair import (
 from maxminfair.configlp import (
     FEASIBLE,
     INFEASIBLE,
-    bracket_T_star,
+    ClpVerdict,
+    DualCertificate,
     clp_feasible,
     min_cost_configuration,
     subset_sum_breakpoints,
@@ -537,29 +538,6 @@ class TestComputeTStar:
     def test_shared_single(self, shared_single):
         assert compute_T_star(shared_single) == 0
 
-    def test_budget_exceeded(self, ten_thin):
-        with pytest.raises(BudgetExceeded):
-            compute_T_star(ten_thin, budget=8)
-
-    def test_bisect_brackets_exact(self, two_fat):
-        t = bracket_T_star(two_fat, F(1, 64))
-        assert clp_feasible(two_fat, t).feasible
-        assert not clp_feasible(two_fat, t + F(1, 64)).feasible
-        assert 1 - F(1, 64) <= t <= 1
-
-    def test_bracket_agrees_with_exact_search(self):
-        delta = F(1, 64)
-        for kind in KINDS:
-            for seed in range(10):
-                inst = generate_instance(kind, 3, 6, seed)
-                t_star = compute_T_star(inst)
-                t = bracket_T_star(inst, delta)
-                assert t_star - delta < t <= t_star
-                assert clp_feasible(inst, t).feasible
-        for bad in (F(0), -delta):
-            with pytest.raises(InvalidTarget):
-                bracket_T_star(inst, bad)
-
     def test_scaling_covariance(self):
         for seed in range(4):
             inst = generate_instance("uniform", 3, 5, seed)
@@ -582,6 +560,32 @@ def value_cap(instance):
     wanted = set().union(*(instance.desired_by(p) for p in instance.players))
     total = sum((instance.value[r] for r in wanted), F(0))
     return min(ceiling, total / len(instance.players))
+
+
+def enumerated_top(instance, prices):
+    """Oracle: the largest value of a bundle that costs less than its
+    player's y at the prices z, over the players with y > 0."""
+    return max(
+        sum((instance.value[r] for r in combo), F(0))
+        for p in instance.players
+        if prices.y[p] > 0
+        for combo in powerset(instance.desired_by(p))
+        if sum((prices.z[r] for r in combo), F(0)) < prices.y[p]
+    )
+
+
+def forged_infeasible(y, z):
+    """A stand-in for `clp_feasible` whose every verdict is infeasible at
+    the prices y (each player) and z (each resource)."""
+
+    def verdict(instance, target):
+        prices = DualCertificate(
+            y=dict.fromkeys(instance.players, F(y)),
+            z=dict.fromkeys(instance.resources, F(z)),
+        )
+        return ClpVerdict(status=INFEASIBLE, prices=prices)
+
+    return verdict
 
 
 def plain_T_star(points, feasible):
@@ -656,6 +660,71 @@ class TestTStarBounds:
         )
         with pytest.raises(VerificationFailed, match="uses a bundle worth"):
             compute_T_star(two_fat)
+
+    def test_infeasible_above_top(self, bounded_searches):
+        # An infeasible probe proves its top an upper end: CLP is infeasible
+        # above it.  Replaying the bisection with the floor and the
+        # enumerated top as its jumps gives exactly the search's probes.
+        jumps = 0
+        for instance, t_star, probes in bounded_searches:
+            points, scale = subset_sum_breakpoints(instance), instance.scale
+            lo, hi = 0, math.floor(value_cap(instance) * scale)
+            for target, verdict in probes:
+                assert target * scale == (lo + hi + 1) // 2
+                if verdict.feasible:
+                    floor = min(
+                        bundle_value(instance, col.player, col.bundle)
+                        for col, _ in verdict.solution
+                    )
+                    lo = min(int(floor * scale), hi)
+                    continue
+                top = enumerated_top(instance, verdict.prices)
+                assert t_star <= top < target and top in points
+                above = points[points.index(top) + 1]
+                assert not clp_feasible(instance, above).feasible
+                hi = int(top * scale)
+                jumps += above < target
+            assert lo == hi == t_star * scale
+        assert jumps
+
+    def test_top_at_target_raises(self, monkeypatch, two_fat):
+        # Prices under which a bundle worth the probed target costs less than
+        # its player's y are not dual feasible at that target.
+        forged, probes = forged_infeasible(1, 0), []
+
+        def first_probe_only(instance, target):
+            probes.append(target)
+            if len(probes) > 1:
+                pytest.fail("the search went on past a top at the probe")
+            return forged(instance, target)
+
+        monkeypatch.setattr(configlp, "clp_feasible", first_probe_only)
+        with pytest.raises(VerificationFailed, match="cheaper than its player's"):
+            compute_T_star(two_fat)
+
+    def test_top_below_floor_raises(self, monkeypatch):
+        # T* = 1: the probe at 1 is feasible, the one at 2 is not.  Prices
+        # under which only the empty bundle is cheap put T* at 0, below the
+        # proven floor.
+        inst = make_instance(
+            {"a": "2", "b": "1", "c": "1"}, {"p1": ["a", "b"], "p2": ["a", "c"]}
+        )
+        assert compute_T_star(inst) == 1
+        probe, forged = configlp.clp_feasible, forged_infeasible(F(1, 2), 1)
+
+        def feasible_or_forged(instance, target):
+            verdict = probe(instance, target)
+            return verdict if verdict.feasible else forged(instance, target)
+
+        monkeypatch.setattr(configlp, "clp_feasible", feasible_or_forged)
+        with pytest.raises(VerificationFailed, match="outside \\[1, 2\\)"):
+            compute_T_star(inst)
+
+    def test_probes_within_bit_length(self, bounded_searches):
+        # Each probe at least halves the interval of weight units.
+        for instance, _, probes in bounded_searches:
+            hi = math.floor(value_cap(instance) * instance.scale)
+            assert len(probes) <= hi.bit_length() + 1
 
     def test_agrees_with_plain_bisection(self, bounded_searches):
         bounded = plain = 0
