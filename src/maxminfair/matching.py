@@ -20,7 +20,13 @@ a failure raises `VerificationFailed`, which `python -O` does not strip:
 `extend_matching` checks the descent after every step, `build_step` that
 every blocking edge activates a new player, and `contract_step` that the
 contracted candidate's player has exactly one activator (it lies below the
-top blocker, whose blocking set is empty).
+top blocker, whose blocking set is empty).  `build_step` also re-checks, with
+`NotAddable`, that each edge is addable and in the hypergraph, although
+`find_addable_edge` built it to be: these checks stay, and are kept cheap
+(set membership, `isdisjoint`, and one pass over the bundle's `int`
+weights).  Likewise `Matching.with_edge` copies and extends its parent's
+maps after checking the new edge against them, and `complete_allocation`
+compares each bundle's `int` weight with the guarantee in weight units.
 
 A search that halts with no addable edge and no removable blocker is returned
 as a first-class Stuck outcome: it happens exactly when the target exceeds
@@ -122,7 +128,23 @@ class Matching:
         return list({e.player: e for e in owners if e is not None}.values())
 
     def with_edge(self, edge: Edge) -> "Matching":
-        return Matching(edges=self.edges | {edge})
+        """This matching plus `edge`: the maps are copied and extended, not
+        rebuilt, after the same two checks `__post_init__` makes, player
+        first.  An edge already in the matching gives an equal matching."""
+        held = self._by_player.get(edge.player)
+        if held == edge:
+            return self
+        if held is not None:
+            raise ValueError("matching edges share a player")
+        if not self._by_resource.keys().isdisjoint(edge.bundle):
+            raise ValueError("matching edges share a resource")
+        by_player = {**self._by_player, edge.player: edge}
+        by_resource = {**self._by_resource, **dict.fromkeys(edge.bundle, edge)}
+        grown = object.__new__(Matching)
+        object.__setattr__(grown, "edges", self.edges | {edge})
+        object.__setattr__(grown, "_by_player", by_player)
+        object.__setattr__(grown, "_by_resource", by_resource)
+        return grown
 
     def replace(self, old: Edge, new: Edge) -> "Matching":
         if old not in self.edges:
@@ -173,26 +195,33 @@ class SearchState:
         self.active_order: list[str] = [root_player]
         self.active: set[str] = {root_player}
 
-    def is_active(self, player: str) -> bool:
-        return player in self.active
-
 
 def is_minimal_thin_edge(
     ni: NormalizedInstance, player: str, bundle: Iterable[str]
 ) -> bool:
     """True iff `bundle` is all-thin for the player, reaches the threshold,
-    and every single removal drops below it."""
+    and every single removal drops below it.
+
+    A desired resource is a known one, so ids are looked up only when the
+    bundle is not all desired; an unknown id raises `UnknownResource`.  One
+    pass sums the weights and finds the least: every removal drops below
+    `bound` exactly when removing the least does.
+    """
     bundle = frozenset(bundle)
-    desired = ni.base.desired_by(player)
-    for r in bundle:
-        ni.base.resource_index(r)
+    if not bundle <= ni.base.desired_by(player):
+        for r in bundle:
+            ni.base.resource_index(r)
+        return False
     weight, bound = ni.base.weight, ni.bound
-    if not bundle or not all(r in desired and 0 < weight[r] < bound for r in bundle):
-        return False
-    total = sum(weight[r] for r in bundle)
-    if total < bound:
-        return False
-    return total - min(weight[r] for r in bundle) < bound
+    total, least = 0, bound
+    for r in bundle:
+        w = weight[r]
+        if not 0 < w < bound:
+            return False
+        total += w
+        if w < least:
+            least = w
+    return bound <= total < bound + least
 
 
 def edge_in_hypergraph(ni: NormalizedInstance, edge: Edge) -> bool:
@@ -237,28 +266,30 @@ def find_addable_edge(ni: NormalizedInstance, state: SearchState) -> Optional[Ed
 def build_step(state: SearchState, edge: Edge) -> SearchState:
     """Append the blocker for an addable edge; activates newly blocked players."""
     ni = state.normalized
-    if not state.is_active(edge.player):
+    covered, active = state.covered, state.active
+    if edge.player not in active:
         raise NotAddable(f"player {edge.player!r} is not active")
-    if edge.bundle & state.covered:
+    if not edge.bundle.isdisjoint(covered):
         raise NotAddable(
-            f"edge reuses covered resources {sorted(edge.bundle & state.covered)}"
+            f"edge reuses covered resources {sorted(edge.bundle & covered)}"
         )
     if not edge_in_hypergraph(ni, edge):
         raise NotAddable(f"not an edge of the hypergraph: {edge}")
-    index = ni.base.player_index
-    blocking = tuple(
-        sorted(state.matching.sharing(edge.bundle), key=lambda e: index(e.player))
-    )
+    blocking = state.matching.sharing(edge.bundle)
+    if len(blocking) > 1:
+        index = ni.base.player_index
+        blocking.sort(key=lambda e: index(e.player))
+    blocking = tuple(blocking)
     state.blockers.append(Blocker(candidate=edge, blocking=blocking))
-    state.covered |= edge.bundle
+    covered |= edge.bundle
     for e in blocking:
-        state.covered |= e.bundle
-        if state.is_active(e.player):
+        covered |= e.bundle
+        if e.player in active:
             raise VerificationFailed(
                 f"blocking edge of {e.player!r}, who is already active"
             )
         state.active_order.append(e.player)
-        state.active.add(e.player)
+        active.add(e.player)
     return state
 
 
@@ -512,15 +543,26 @@ def complete_allocation(
     6/23 of the target (an unmatched player's empty bundle is worth 0, so at
     target 0 any matching, the empty one included, completes); each leftover
     resource goes to the lowest-index player desiring it, or to the first
-    player when nobody does.
+    player when nobody does.  Bundles are compared in `instance.weight`
+    units, against ⌈(6/23)·target·scale⌉, the guarantee in those units.
     """
     target = Fraction(target)
+    threshold = GUARANTEE_FRACTION * target * instance.scale
+    bound = -(-threshold.numerator // threshold.denominator)
+    weight = instance.weight
     allocation: dict[str, set[str]] = {p: set() for p in instance.players}
     for p in instance.players:
         e = matching.edge_of(p)
         bundle = frozenset() if e is None else e.bundle
-        worth = bundle_value(instance, p, bundle)
-        if worth < GUARANTEE_FRACTION * target:
+        desired = instance.desired_by(p)
+        total = 0
+        for r in bundle:
+            if r in desired:
+                total += weight[r]
+            else:
+                instance.resource_index(r)
+        if total < bound:
+            worth = bundle_value(instance, p, bundle)
             raise MatchingNotPerfect(
                 f"bundle for {p!r} is worth {worth}, below the "
                 f"guarantee at target {target}"

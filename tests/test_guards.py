@@ -47,6 +47,44 @@ def test_trace_events_are_built_only_by_the_replay():
     assert built == ["matching.replay_trace"]
 
 
+def test_build_step_keeps_its_checks():
+    # `find_addable_edge` builds only hypergraph edges, yet `build_step`
+    # re-checks each one: a faster search may make the checks cheaper, not
+    # drop them.
+    tree = ast.parse((PACKAGE / "matching.py").read_text())
+    assert "build_step" in _calling_scopes(tree, "edge_in_hypergraph")
+    assert _raising_scopes(tree, "NotAddable").count("build_step") == 3
+    assert "build_step" in _raising_scopes(tree, "VerificationFailed")
+
+
+def test_progress_guard_calls_the_module_signature():
+    # The guard re-derives the whole signature after every step through the
+    # module-level `signature`, the name a patched `matching.signature`
+    # replaces; a local binding or an incremental comparison would not see it.
+    tree = ast.parse((PACKAGE / "matching.py").read_text())
+    top = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "signature" in top
+    extend = top["extend_matching"]
+    in_loop = [
+        node
+        for loop in ast.walk(extend)
+        if isinstance(loop, ast.While)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "signature"
+    ]
+    bound_locally = [
+        node.lineno
+        for node in ast.walk(extend)
+        if (isinstance(node, ast.Name) and node.id == "signature"
+            and not isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.arg) and node.arg == "signature")
+        or (isinstance(node, ast.alias) and (node.asname or node.name) == "signature")
+    ]
+    assert in_loop and bound_locally == []
+
+
 def _is_named(node, name):
     return name in (getattr(node, "id", None), getattr(node, "attr", None))
 

@@ -23,6 +23,7 @@ from maxminfair.errors import (
     NoRemovableBlocker,
     NotAddable,
     PlayerAlreadyMatched,
+    UnknownResource,
     VerificationFailed,
 )
 from maxminfair.generators import KINDS
@@ -141,6 +142,50 @@ class TestMinimalThinEdge:
         ni = normalize(inst, F(1))
         assert not is_minimal_thin_edge(ni, "p", {"a"})
         assert not is_minimal_thin_edge(ni, "p", set())
+
+    def test_matches_the_definition_on_random_bundles(self):
+        # Values in 60ths against targets in 7ths, so the weights carry a
+        # scale above 1; zero values, fat values and exact threshold sums occur.
+        rng = random.Random(25)
+        seen = {True: 0, False: 0}
+        for _ in range(150):
+            ids = [f"r{i}" for i in range(rng.randint(1, 9))]
+            values = {r: F(rng.choice([0, 1, 3, 5, 8, 13, 20, 60]), 60) for r in ids}
+            desires = {p: rng.sample(ids, rng.randint(0, len(ids))) for p in ("p", "q")}
+            inst = make_instance(values, desires)
+            target = F(rng.randint(1, 21), 7)
+            ni = normalize(inst, target)
+            for p in desires:
+                thin = [r for r in desires[p] if 0 < values[r] < GUARANTEE_FRACTION * target]
+                greedy, total = [], 0
+                for r in sorted(thin, key=values.get, reverse=True):
+                    if total >= GUARANTEE_FRACTION * target:
+                        break
+                    greedy.append(r)
+                    total += values[r]
+                bundles = [frozenset(), frozenset(greedy), frozenset(desires[p])]
+                bundles += [frozenset(rng.sample(ids, rng.randint(1, len(ids)))) for _ in range(6)]
+                bundles += [frozenset(rng.sample(thin, rng.randint(0, len(thin)))) for _ in range(6)]
+                for bundle in bundles:
+                    expected = minimal_by_definition(inst, target, p, bundle)
+                    assert is_minimal_thin_edge(ni, p, bundle) == expected
+                    seen[expected] += 1
+                    with pytest.raises(UnknownResource):
+                        is_minimal_thin_edge(ni, p, bundle | {"ghost"})
+        assert seen[True] > 100 and seen[False] > 1000
+
+
+def minimal_by_definition(inst, target, player, bundle):
+    """`is_minimal_thin_edge` from its definition, in `Fraction` values:
+    every member desired and thin, the total reaches the threshold, and every
+    single removal drops below it."""
+    threshold = GUARANTEE_FRACTION * target
+    if not bundle or not bundle <= inst.desired_by(player):
+        return False
+    if not all(0 < inst.value[r] < threshold for r in bundle):
+        return False
+    total = sum(inst.value[r] for r in bundle)
+    return total >= threshold and all(total - inst.value[r] < threshold for r in bundle)
 
 
 class TestFindAddableEdge:
@@ -706,6 +751,25 @@ class TestMatchingIndex:
         with pytest.raises(ValueError, match="share a resource"):
             base.replace(fat_edge("p1", "a"), fat_edge("p1", "b"))
 
+    def test_with_edge_copies_the_parent_maps(self):
+        edges = [fat_edge("p1", "a"), thin_edge("p2", "b", "c")]
+        parent = Matching.of(edges)
+        maps = (dict(parent._by_player), dict(parent._by_resource))
+        assert parent.with_edge(edges[1]) == parent
+        grown = parent.with_edge(thin_edge("p3", "d", "e"))
+        assert grown == Matching.of(edges + [thin_edge("p3", "d", "e")])
+        assert_index_is_the_scan(grown, ["p1", "p2", "p3"], [frozenset("abcde")])
+        assert (parent._by_player, parent._by_resource) == maps
+        assert_index_is_the_scan(parent, ["p1", "p2", "p3"], [frozenset("abcde")])
+        # An edge sharing a player and a resource is reported by its player,
+        # as `__post_init__` reports it.
+        for clash in (fat_edge("p1", "b"), thin_edge("p2", "a", "b")):
+            with pytest.raises(ValueError, match="share a player"):
+                parent.with_edge(clash)
+            with pytest.raises(ValueError, match="share a player"):
+                Matching.of(edges + [clash])
+        assert (parent._by_player, parent._by_resource) == maps
+
     def test_equal_edges_equal_hash_and_repr(self):
         edges = [fat_edge("p1", "a"), thin_edge("p2", "b", "c"), fat_edge("p3", "d")]
         one = Matching.of(edges)
@@ -798,6 +862,30 @@ class TestCompleteAllocation:
                 leftover_rule = desirers[0] if desirers else inst.players[0]
                 owners = [p for p in inst.players if r in allocation[p]]
                 assert owners == [holder.get(r, leftover_rule)]
+
+    def test_guarantee_boundary_in_weight_units(self):
+        # Scale 35: {a, b} is worth 17/35, exactly 6/23 of the target, and
+        # {a, c} one weight unit (1/35) less; u is worth 1 but undesired by p1.
+        inst = make_instance(
+            {"a": "2/7", "b": "1/5", "c": "6/35", "d": "1/35", "u": "1"},
+            {"p1": ["a", "b", "c", "d"], "p2": ["u"]},
+        )
+        target = F(23 * 17, 6 * 35)
+        assert inst.scale == 35 and GUARANTEE_FRACTION * target == F(17, 35)
+        fat_u = fat_edge("p2", "u")
+        exact = Matching.of([thin_edge("p1", "a", "b"), fat_u])
+        allocation = complete_allocation(inst, exact, target)
+        assert allocation == {"p1": {"a", "b", "c", "d"}, "p2": {"u"}}
+        for short in (thin_edge("p1", "a", "c"), thin_edge("p1", "a", "c", "u")):
+            with pytest.raises(MatchingNotPerfect) as raised:
+                complete_allocation(inst, Matching.of([short]), target)
+            assert str(raised.value) == (
+                "bundle for 'p1' is worth 16/35, below the guarantee at target 391/210"
+            )
+        for t in (target, F(0)):
+            ghost = Matching.of([thin_edge("p1", "a", "b", "ghost"), fat_u])
+            with pytest.raises(UnknownResource):
+                complete_allocation(inst, ghost, t)
 
     def test_not_perfect_rejected(self, two_fat):
         with pytest.raises(MatchingNotPerfect):
