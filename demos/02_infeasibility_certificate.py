@@ -39,11 +39,11 @@ for i, blocker in enumerate(state.blockers):
     )
 
 cert = construct_dual_certificate(ni, state)
-print("\ndual certificate (prices scaled to the normalized instance):")
-print(json.dumps(cert.to_json_dict(), indent=2))
-
 feasibility = verify_certificate_feasibility(ni, cert)
 balances = check_blocker_balances(ni, state, cert)
+print("\ndual certificate (prices scaled to the normalized instance):")
+payload = {**cert.to_json_dict(), "blockers": balances.blockers_json()}
+print(json.dumps(payload, indent=2))
 print(f"\nre-verified dual feasibility: {feasibility.passed}")
 print(f"per-player margins: { {p: str(m) for p, m in feasibility.margins.items()} }")
 print(f"per-blocker balances non-negative: {balances.passed}")

@@ -9,12 +9,14 @@ min(value/target, 5/23).  The certificate is feasible for the configuration
 dual at that target and has positive objective, so scaling it up makes the
 dual unbounded.
 
-Construction is never trusted, and each claim is checked once:
-`construct_dual_certificate` refuses a state that is not stuck;
-`verify_certificate_feasibility` re-derives dual feasibility: z >= 0, then
-the exact pricing search (covering every case of the analysis at once); and
-`check_blocker_balances` re-plays the per-blocker accounting that makes the
-objective positive, which localizes any failure to a single blocker.
+The certificate is the prices alone.  Construction is never trusted, and
+each claim is checked once: `construct_dual_certificate` refuses a state that
+is not stuck; `verify_certificate_feasibility` re-derives dual feasibility:
+z >= 0, then the exact pricing search (covering every case of the analysis
+at once); and `check_blocker_balances` reads each blocker's players and
+resources off the halted state and re-plays the per-blocker accounting that
+makes the objective positive, which localizes any failure to a single
+blocker.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .configlp import BlockerGroup, DualCertificate, min_cost_configuration
+from .configlp import DualCertificate, min_cost_configuration
 from .errors import StateNotStuck
 from .instances import GUARANTEE_FRACTION, NormalizedInstance, format_rational
 from .matching import SearchState, find_addable_edge
@@ -51,7 +53,7 @@ def assert_stuck(ni: NormalizedInstance, state: SearchState) -> None:
 def construct_dual_certificate(
     ni: NormalizedInstance, state: SearchState
 ) -> DualCertificate:
-    """Prices proving CLP(target) infeasible, computed from a stuck state."""
+    """Prices proving CLP(target) infeasible, from a stuck state's coverage."""
     assert_stuck(ni, state)
     active = state.active
     covered = state.covered
@@ -65,21 +67,7 @@ def construct_dual_certificate(
             z[r] = _ACTIVE_PRICE
         else:
             z[r] = min(ni.value(r), _THIN_CAP)
-
-    groups = []
-    for i, b in enumerate(state.blockers):
-        players = tuple([e.player for e in b.blocking])  # by index, see `Blocker`
-        resources = set(b.candidate.bundle)
-        for e in b.blocking:
-            resources |= e.bundle
-        groups.append(
-            BlockerGroup(
-                index=i,
-                players=players,
-                resources=tuple(ni.base.sorted_resources(resources)),
-            )
-        )
-    return DualCertificate(y=y, z=z, blocker_groups=tuple(groups))
+    return DualCertificate(y=y, z=z)
 
 
 @dataclass(frozen=True)
@@ -134,12 +122,18 @@ def verify_certificate_feasibility(
 
 @dataclass(frozen=True)
 class BalanceReport:
-    """Per-blocker accounting showing the certificate objective is positive."""
+    """Per-blocker accounting showing the certificate objective is positive.
+
+    Blocker i activated `players[i]` and its edges cover `resources[i]`, both
+    read off the halted state; `balances[i]` is their price difference.
+    """
 
     passed: bool
     balances: tuple[Fraction, ...]
     objective: Fraction
     failures: tuple[str, ...]
+    players: tuple[tuple[str, ...], ...] = ()
+    resources: tuple[tuple[str, ...], ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -149,26 +143,46 @@ class BalanceReport:
             "failures": list(self.failures),
         }
 
+    def blockers_json(self) -> list[dict]:
+        """One entry per blocker: index, players, resources and balance."""
+        return [
+            {
+                "index": i,
+                "players": list(players),
+                "resources": list(resources),
+                "balance": format_rational(balance),
+            }
+            for i, (players, resources, balance) in enumerate(
+                zip(self.players, self.resources, self.balances)
+            )
+        ]
+
 
 def check_blocker_balances(
     ni: NormalizedInstance, state: SearchState, cert: DualCertificate
 ) -> BalanceReport:
     """Assert each blocker's player prices cover its resource prices.
 
-    Blocker groups partition the active players (minus the root) and the
-    covered resources, so the certificate objective decomposes as the root
-    price plus the per-blocker balances; non-negative balances make it at
-    least 15/23.
+    Each blocker's group is read off `state.blockers`: the players of its
+    blocking edges (by player index, see `Blocker`), and the resources of
+    its candidate and blocking edges.  The groups partition the active
+    players (minus the root) and the covered resources, so the certificate
+    objective decomposes as the root price plus the per-blocker balances;
+    non-negative balances make it at least 15/23.
     """
     failures = []
-    balances = []
-    for g in cert.blocker_groups:
-        balance = cert.balance(g)
+    balances, group_players, group_resources = [], [], []
+    for i, b in enumerate(state.blockers):
+        players = tuple([e.player for e in b.blocking])
+        resources = b.candidate.bundle.union(*[e.bundle for e in b.blocking])
+        resources = tuple(ni.base.sorted_resources(resources))
+        inflow = sum((cert.y[p] for p in players), _ZERO)
+        balance = inflow - sum((cert.z[r] for r in resources), _ZERO)
         balances.append(balance)
+        group_players.append(players)
+        group_resources.append(resources)
         if balance < 0:
-            failures.append(
-                f"blocker {g.index}: player prices fall short by {-balance}"
-            )
+            failures.append(f"blocker {i}: player prices fall short by {-balance}")
     objective = cert.objective
     decomposed = cert.y[state.root_player] + sum(balances, _ZERO)
     if objective != decomposed:
@@ -186,4 +200,6 @@ def check_blocker_balances(
         balances=tuple(balances),
         objective=objective,
         failures=tuple(failures),
+        players=tuple(group_players),
+        resources=tuple(group_resources),
     )

@@ -64,8 +64,8 @@ class SolveResult:
     """One solve at a fixed target: an allocation, or a verified certificate.
 
     `search` is None at target 0, where no search runs.  `certificate` is the
-    certificate JSON with both check reports embedded, present exactly when
-    the search halted.
+    certificate JSON (the prices, the balance check's blocker entries and
+    both check reports), present exactly when the search halted.
     """
 
     search: Optional[SearchOutcome]
@@ -101,9 +101,12 @@ def solve(instance: Instance, target: Fraction) -> SolveResult:
             failures = feasibility.failures + balances.failures
             if failures:
                 raise VerificationFailed(f"certificate check failed: {failures[0]}")
-            certificate = cert.to_json_dict()
-            certificate["feasibility_check"] = feasibility.to_json_dict()
-            certificate["balance_check"] = balances.to_json_dict()
+            certificate = {
+                **cert.to_json_dict(),
+                "blockers": balances.blockers_json(),
+                "feasibility_check": feasibility.to_json_dict(),
+                "balance_check": balances.to_json_dict(),
+            }
             return SolveResult(search, None, None, None, certificate)
         matching = search.matching
     allocation = complete_allocation(instance, matching, target)

@@ -76,25 +76,15 @@ class ConfigColumn:
 
 
 @dataclass(frozen=True)
-class BlockerGroup:
-    """Players activated by one blocker and the resources its edges cover."""
-
-    index: int
-    players: tuple[str, ...]
-    resources: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class DualCertificate:
     """Prices (y per player, z per resource) for the configuration dual.
 
-    The LP's infeasibility verdicts carry them bare; certificates built from
-    a stuck search also carry the blocker groups their objective splits into.
+    The LP's infeasibility verdicts and the certificates built from a stuck
+    search are both this: a dual solution and nothing else.
     """
 
     y: Mapping[str, Fraction]
     z: Mapping[str, Fraction]
-    blocker_groups: tuple[BlockerGroup, ...] = ()
 
     @property
     def objective(self) -> Fraction:
@@ -105,28 +95,13 @@ class DualCertificate:
         return DualCertificate(
             y={p: v * factor for p, v in self.y.items()},
             z={r: v * factor for r, v in self.z.items()},
-            blocker_groups=self.blocker_groups,
         )
-
-    def balance(self, group: BlockerGroup) -> Fraction:
-        inflow = sum((self.y[p] for p in group.players), _ZERO)
-        outflow = sum((self.z[r] for r in group.resources), _ZERO)
-        return inflow - outflow
 
     def to_json_dict(self) -> dict:
         return {
             "y": {p: format_rational(v) for p, v in self.y.items()},
             "z": {r: format_rational(v) for r, v in self.z.items()},
             "objective": format_rational(self.objective),
-            "blockers": [
-                {
-                    "index": g.index,
-                    "players": list(g.players),
-                    "resources": list(g.resources),
-                    "balance": format_rational(self.balance(g)),
-                }
-                for g in self.blocker_groups
-            ],
         }
 
 

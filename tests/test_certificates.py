@@ -103,9 +103,7 @@ class TestVerifyFeasibility:
     def test_corrupted_certificate_fails(self, shared_single):
         ni, state = stuck_state(shared_single)
         cert = construct_dual_certificate(ni, state)
-        broken = DualCertificate(
-            y=cert.y, z={"r": F(1, 23)}, blocker_groups=cert.blocker_groups
-        )
+        broken = DualCertificate(y=cert.y, z={"r": F(1, 23)})
         report = verify_certificate_feasibility(ni, broken)
         assert not report.passed
         assert report.margins["p1"] < 0
@@ -121,9 +119,7 @@ class TestVerifyFeasibility:
         ni, state = stuck_state(inst)
         cert = construct_dual_certificate(ni, state)
         r = ni.base.sorted_resources(state.covered)[0]
-        broken = DualCertificate(
-            y=cert.y, z={**cert.z, r: -cert.z[r]}, blocker_groups=cert.blocker_groups
-        )
+        broken = DualCertificate(y=cert.y, z={**cert.z, r: -cert.z[r]})
 
         def unreachable(*args):
             pytest.fail("a certificate with a negative price was priced")
@@ -135,7 +131,7 @@ class TestVerifyFeasibility:
         assert len(report.failures) == 1 and repr(r) in report.failures[0]
         balances = check_blocker_balances(ni, state, broken)
         assert balances.objective == broken.objective
-        assert len(balances.balances) == len(broken.blocker_groups)
+        assert len(balances.balances) == len(state.blockers)
 
     def test_scaling_keeps_feasibility(self, shared_single):
         ni, state = stuck_state(shared_single)
@@ -189,13 +185,31 @@ class TestBlockerBalances:
         assert cert.objective == F(18, 23)
         assert verify_certificate_feasibility(ni, cert).passed
 
+    def test_groups_are_read_off_the_state(self, shared_single):
+        # A certificate is its prices: the same y and z, passed bare, give
+        # the same per-blocker balances, one per blocker of the halted state.
+        thin = make_instance(
+            {"t1": "3/23", "t2": "3/23", "t3": "3/23"},
+            {"p1": ["t1", "t2", "t3"], "p2": ["t1", "t2", "t3"]},
+        )
+        for instance in (shared_single, thin):
+            ni, state = stuck_state(instance)
+            cert = construct_dual_certificate(ni, state)
+            bare = check_blocker_balances(ni, state, DualCertificate(y=cert.y, z=cert.z))
+            assert state.blockers
+            assert len(bare.balances) == len(state.blockers)
+            assert bare == check_blocker_balances(ni, state, cert)
+
     def test_json_export_shape(self, shared_single):
         ni, state = stuck_state(shared_single)
         cert = construct_dual_certificate(ni, state)
         payload = cert.to_json_dict()
         assert payload["objective"] == "15/23"
         assert payload["y"] == {"p1": "15/23", "p2": "15/23"}
-        assert payload["blockers"][0]["balance"] == "0"
+        blockers = check_blocker_balances(ni, state, cert).blockers_json()
+        assert blockers == [
+            {"index": 0, "players": ["p1"], "resources": ["r"], "balance": "0"}
+        ]
 
 
 class TestEndToEndSoundness:

@@ -194,7 +194,7 @@ class TestSolve:
         def negated(ni, state):
             cert = construct(ni, state)
             z = {r: -v for r, v in cert.z.items()}
-            return DualCertificate(y=cert.y, z=z, blocker_groups=cert.blocker_groups)
+            return DualCertificate(y=cert.y, z=z)
 
         monkeypatch.setattr(cli, "construct_dual_certificate", negated)
         argv = ["solve", "--instance", write_instance(tmp_path, shared_single)]

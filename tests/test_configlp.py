@@ -422,6 +422,7 @@ class TestClpFeasible:
     def test_prices_json_round_trip(self, two_fat):
         verdict = clp_feasible(two_fat, F(3, 2))
         payload = verdict.prices.to_json_dict()
+        assert list(payload) == ["y", "z", "objective"]
         assert payload["objective"] == "1"
         assert set(payload["y"]) == {"p1", "p2"}
         assert set(payload["z"]) == {"a", "b"}

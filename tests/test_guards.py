@@ -85,6 +85,26 @@ def test_progress_guard_calls_the_module_signature():
     assert in_loop and bound_locally == []
 
 
+def test_dual_certificate_is_prices_only():
+    # The LP layer holds no search vocabulary: the balance check reads each
+    # blocker's group off the halted state, never off the certificate.
+    fields = tuple(f.name for f in dataclasses.fields(maxminfair.DualCertificate))
+    assert fields == ("y", "z")
+    tree = ast.parse((PACKAGE / "configlp.py").read_text())
+    named = [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(tree)
+        for name in _identifiers(node)
+        if "blocker" in name.lower()
+    ]
+    assert named == []
+
+
+def _identifiers(node):
+    fields = ("id", "attr", "name", "asname", "arg")
+    return [getattr(node, f) for f in fields if isinstance(getattr(node, f, None), str)]
+
+
 def _is_named(node, name):
     return name in (getattr(node, "id", None), getattr(node, "attr", None))
 
