@@ -67,12 +67,13 @@ def zero_optimize(tableau):
 
 
 def negative_price_optimize(tableau):
-    """A corrupted master optimum for `two_fat`: positive shortfall, both
-    players' duals 1, and resource "a" priced at -1 (its row's dual is 1)."""
+    """A corrupted master optimum for a two-player instance such as
+    `two_fat`: positive shortfall, both players' duals 1, and the first
+    resource ("a") priced at -1 (its row's dual is 1)."""
     return LpOutcome(
         status=OPTIMAL,
         primal=(Fraction(0),) * tableau.num_vars,
-        dual=(Fraction(1), Fraction(1), Fraction(1), Fraction(0)),
+        dual=(Fraction(1),) * 3 + (Fraction(0),) * (tableau.num_rows - 3),
         objective=Fraction(1),
     )
 
@@ -83,6 +84,17 @@ def two_fat():
     return make_instance(
         {"a": "1", "b": "1"},
         {"p1": ["a", "b"], "p2": ["a", "b"]},
+    )
+
+
+@pytest.fixture
+def floor_below_cap():
+    """Two players sharing "a" (value 2), each with a unit resource of its own.
+    The greedy integral floor 1 is T*, below the cap 2, so the T* search
+    probes CLP exactly once, at 2 (infeasible)."""
+    return make_instance(
+        {"a": "2", "b": "1", "c": "1"},
+        {"p1": ["a", "b"], "p2": ["a", "c"]},
     )
 
 

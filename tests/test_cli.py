@@ -152,12 +152,21 @@ class TestSolve:
         assert report["outcome"] == "Allocated"
 
     def test_failed_verification_is_internal_error(
-        self, monkeypatch, capsys, tmp_path, two_fat
+        self, monkeypatch, capsys, tmp_path, floor_below_cap
     ):
-        monkeypatch.setattr(Tableau, "optimize", zero_optimize)
-        code = main(["solve", "--instance", write_instance(tmp_path, two_fat)])
+        # The greedy floor is below the cap, so the search probes CLP and
+        # the corrupted master optimum is reached.
+        optimized = []
+
+        def corrupted(tableau):
+            optimized.append(tableau)
+            return zero_optimize(tableau)
+
+        monkeypatch.setattr(Tableau, "optimize", corrupted)
+        code = main(["solve", "--instance", write_instance(tmp_path, floor_below_cap)])
         assert code == EXIT_FAIL
         assert capsys.readouterr().err.startswith("internal error:")
+        assert optimized
 
     def test_failed_certificate_is_internal_error(
         self, monkeypatch, capsys, tmp_path, shared_single
@@ -176,15 +185,23 @@ class TestSolve:
             solve(shared_single, F(1))
 
     def test_negative_master_price_is_internal_error(
-        self, monkeypatch, capsys, tmp_path, two_fat
+        self, monkeypatch, capsys, tmp_path, floor_below_cap
     ):
         # A resource price the master computed is the solver's, not the input's.
-        monkeypatch.setattr(Tableau, "optimize", negative_price_optimize)
-        code = main(["solve", "--instance", write_instance(tmp_path, two_fat)])
+        optimized = []
+
+        def corrupted(tableau):
+            optimized.append(tableau)
+            return negative_price_optimize(tableau)
+
+        monkeypatch.setattr(Tableau, "optimize", corrupted)
+        code = main(["solve", "--instance", write_instance(tmp_path, floor_below_cap)])
         assert code == EXIT_FAIL
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("internal error:")
+        assert "'a' below 0" in captured.err
+        assert optimized
 
     def test_negative_certificate_price_is_internal_error(
         self, monkeypatch, capsys, tmp_path, shared_single

@@ -43,7 +43,11 @@ from maxminfair.simplex import (
     Tableau,
     verify_outcome,
 )
-from maxminfair.oracle import enumerated_clp_feasible, exact_T_star_enumerated
+from maxminfair.oracle import (
+    enumerated_clp_feasible,
+    exact_T_star_enumerated,
+    verify_allocation,
+)
 
 from conftest import (
     make_instance,
@@ -92,6 +96,21 @@ class TestMinCostConfiguration:
         expected = enumerate_min_cost(inst, "p", prices, F(1))
         assert expected == (F(3, 20), frozenset({"r1", "r2", "r4"}))
         assert min_cost_configuration(inst, "p", prices, F(1)) == expected
+
+    def test_integer_prices_give_an_integer_cost(self):
+        # Column generation prices at integers and compares with an integer:
+        # the cost stays an `int` there, and is a `Fraction` at prices with
+        # denominators, the same value and bundle at any common scale.
+        inst = make_instance(
+            {"r1": "1/2", "r2": "2/5", "r3": "3/10", "r4": "1/5"},
+            {"p": ["r1", "r2", "r3", "r4"]},
+        )
+        prices = {"r1": F(1, 10), "r2": F(1, 20), "r3": F(1, 5), "r4": F(0)}
+        cost, bundle = min_cost_configuration(inst, "p", prices, F(1))
+        assert type(cost) is F and cost == F(3, 20)
+        whole = {r: int(v * 20) for r, v in prices.items()}
+        scaled = min_cost_configuration(inst, "p", whole, F(1))
+        assert type(scaled[0]) is int and scaled == (3, bundle)
 
     def test_target_zero_gives_empty_bundle(self, two_fat):
         assert min_cost_configuration(two_fat, "p1", {"a": F(1)}, F(0)) == (
@@ -589,6 +608,12 @@ def forged_infeasible(y, z):
     return verdict
 
 
+def greedy_floor(instance):
+    """The smallest value of a bundle of `configlp._integral_floor`."""
+    bundles = configlp._integral_floor(instance)
+    return min(bundle_value(instance, p, bundles[p]) for p in instance.players)
+
+
 def plain_T_star(points, feasible):
     """Bisection over every breakpoint: T* and the number of probes."""
     lo, hi, probes = 0, len(points) - 1, 0
@@ -652,15 +677,19 @@ class TestTStarBounds:
                 jumps += floor > target
         assert jumps
 
-    def test_floor_below_target_raises(self, monkeypatch, two_fat):
+    def test_floor_below_target_raises(self, monkeypatch, floor_below_cap):
         # A "feasible" verdict whose solution uses a bundle worth less than
         # the probed target proves nothing about that target.
-        probe = configlp.clp_feasible
-        monkeypatch.setattr(
-            configlp, "clp_feasible", lambda instance, target: probe(instance, F(0))
-        )
+        probe, probes = configlp.clp_feasible, []
+
+        def at_zero(instance, target):
+            probes.append(target)
+            return probe(instance, F(0))
+
+        monkeypatch.setattr(configlp, "clp_feasible", at_zero)
         with pytest.raises(VerificationFailed, match="uses a bundle worth"):
-            compute_T_star(two_fat)
+            compute_T_star(floor_below_cap)
+        assert probes == [F(2)]
 
     def test_infeasible_above_top(self, bounded_searches):
         # An infeasible probe proves its top an upper end: CLP is infeasible
@@ -669,7 +698,8 @@ class TestTStarBounds:
         jumps = 0
         for instance, t_star, probes in bounded_searches:
             points, scale = subset_sum_breakpoints(instance), instance.scale
-            lo, hi = 0, math.floor(value_cap(instance) * scale)
+            lo = int(greedy_floor(instance) * scale)
+            hi = math.floor(value_cap(instance) * scale)
             for target, verdict in probes:
                 assert target * scale == (lo + hi + 1) // 2
                 if verdict.feasible:
@@ -688,7 +718,7 @@ class TestTStarBounds:
             assert lo == hi == t_star * scale
         assert jumps
 
-    def test_top_at_target_raises(self, monkeypatch, two_fat):
+    def test_top_at_target_raises(self, monkeypatch, floor_below_cap):
         # Prices under which a bundle worth the probed target costs less than
         # its player's y are not dual feasible at that target.
         forged, probes = forged_infeasible(1, 0), []
@@ -701,15 +731,14 @@ class TestTStarBounds:
 
         monkeypatch.setattr(configlp, "clp_feasible", first_probe_only)
         with pytest.raises(VerificationFailed, match="cheaper than its player's"):
-            compute_T_star(two_fat)
+            compute_T_star(floor_below_cap)
+        assert probes == [F(2)]
 
-    def test_top_below_floor_raises(self, monkeypatch):
-        # T* = 1: the probe at 1 is feasible, the one at 2 is not.  Prices
-        # under which only the empty bundle is cheap put T* at 0, below the
-        # proven floor.
-        inst = make_instance(
-            {"a": "2", "b": "1", "c": "1"}, {"p1": ["a", "b"], "p2": ["a", "c"]}
-        )
+    def test_top_below_floor_raises(self, monkeypatch, floor_below_cap):
+        # T* = 1: the greedy floor is 1, and the probe at 2 is infeasible.
+        # Prices under which only the empty bundle is cheap put T* at 0,
+        # below the proven floor.
+        inst = floor_below_cap
         assert compute_T_star(inst) == 1
         probe, forged = configlp.clp_feasible, forged_infeasible(F(1, 2), 1)
 
@@ -722,10 +751,12 @@ class TestTStarBounds:
             compute_T_star(inst)
 
     def test_probes_within_bit_length(self, bounded_searches):
-        # Each probe at least halves the interval of weight units.
+        # Each probe at least halves the interval of weight units, which
+        # starts at the greedy floor.
         for instance, _, probes in bounded_searches:
+            lo = int(greedy_floor(instance) * instance.scale)
             hi = math.floor(value_cap(instance) * instance.scale)
-            assert len(probes) <= hi.bit_length() + 1
+            assert len(probes) <= (hi - lo).bit_length()
 
     def test_agrees_with_plain_bisection(self, bounded_searches):
         bounded = plain = 0
@@ -740,6 +771,94 @@ class TestTStarBounds:
             bounded += len(probes)
             plain += count
         assert bounded < plain
+
+
+FLOOR_GRID = BOUND_GRID + [(kind, 5, 10, seed) for kind in KINDS for seed in range(10)]
+
+# Forged results for `floor_below_cap` (p1 desires a and b, p2 desires a and
+# c): the function replaced, what the forgery returns, and the message it
+# must raise.  No integral allocation is worth more than the true cap, so
+# the last forges the cap instead, with a ceiling of 0.
+FORGED_FLOORS = {
+    "undesired": (
+        "_integral_floor", {"p1": {"a", "c"}, "p2": set()}, "undesired resource 'c'"
+    ),
+    "shared": ("_integral_floor", {"p1": {"a"}, "p2": {"a", "c"}}, "gives 'a' to both"),
+    "above-cap": ("_ceiling", 0, "above the cap"),
+}
+
+
+class TestIntegralFloor:
+    def test_greedy_allocation_bounds_T_star(self):
+        reached = 0
+        for spec in FLOOR_GRID:
+            inst = generate_instance(*spec)
+            bundles = configlp._integral_floor(inst)
+            assert set(bundles) == set(inst.players)
+            # Every positive-value desired resource is allocated; the rest
+            # is worth nothing to anyone and completes the partition.
+            held = set().union(*bundles.values())
+            assert held == set().union(*inst.candidates.values())
+            full = {p: set(b) for p, b in bundles.items()}
+            full[inst.players[0]] |= set(inst.resources) - held
+            floor = F(configlp._allocation_floor(inst, bundles), inst.scale)
+            assert verify_allocation(inst, full) == floor
+            t_star = compute_T_star(inst)
+            assert floor <= t_star
+            reached += floor == t_star
+        assert reached
+
+    @pytest.mark.parametrize("case", sorted(FORGED_FLOORS))
+    def test_forged_floor_raises(self, monkeypatch, floor_below_cap, case):
+        name, forged, message = FORGED_FLOORS[case]
+        monkeypatch.setattr(configlp, name, lambda instance: forged)
+        with pytest.raises(VerificationFailed, match=message):
+            compute_T_star(floor_below_cap)
+
+    def test_forged_floor_raises_under_python_optimize(self):
+        cases = [FORGED_FLOORS[case] for case in sorted(FORGED_FLOORS)]
+        script = textwrap.dedent(
+            """
+            import sys
+            from maxminfair import configlp, validate_instance
+            from maxminfair.errors import VerificationFailed
+
+            assert not __debug__, "expected python -O"
+            inst = validate_instance({
+                "players": ["p1", "p2"],
+                "resources": [{"id": "a", "value": "2"}, {"id": "b", "value": "1"},
+                              {"id": "c", "value": "1"}],
+                "desires": {"p1": ["a", "b"], "p2": ["a", "c"]},
+            })
+            originals = vars(configlp).copy()
+            for name, forged, _ in eval(sys.argv[1]):
+                setattr(configlp, name, lambda instance: forged)
+                try:
+                    configlp.compute_T_star(inst)
+                except VerificationFailed as exc:
+                    print(exc)
+                else:
+                    print("accepted")
+                setattr(configlp, name, originals[name])
+            """
+        )
+        proc = run_python_optimize("-c", script, repr(cases))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == len(cases)
+        for line, (_, _, message) in zip(lines, cases):
+            assert message in line
+
+    @pytest.mark.parametrize("name", ["two_fat", "thin_chain", "ten_thin"])
+    def test_floor_at_cap_needs_no_probe(self, monkeypatch, request, name):
+        instance = request.getfixturevalue(name)
+        probes = []
+        monkeypatch.setattr(
+            configlp, "clp_feasible", lambda inst, target: probes.append(target)
+        )
+        t_star = compute_T_star(instance)
+        assert probes == []
+        assert t_star == exact_T_star_enumerated(instance)
 
 
 class TestProperties:

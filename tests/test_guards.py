@@ -85,6 +85,29 @@ def test_progress_guard_calls_the_module_signature():
     assert in_loop and bound_locally == []
 
 
+def test_t_star_search_starts_from_the_checked_floor():
+    # A greedy allocation's smallest bundle value bounds T* from below only
+    # if the bundles are an integral allocation, so `compute_T_star` takes
+    # the greedy bundles through the check that re-derives that value, and
+    # the check and the cap comparison raise rather than assert.
+    tree = ast.parse((PACKAGE / "configlp.py").read_text())
+    top = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    checked = [
+        node
+        for node in ast.walk(top["compute_T_star"])
+        if isinstance(node, ast.Call)
+        and _is_named(node.func, "_allocation_floor")
+        and any(
+            isinstance(arg, ast.Call) and _is_named(arg.func, "_integral_floor")
+            for arg in node.args
+        )
+    ]
+    assert len(checked) == 1
+    raised = _raising_scopes(tree, "VerificationFailed")
+    assert raised.count("_allocation_floor") == 2
+    assert raised.count("compute_T_star") == 3
+
+
 def test_dual_certificate_is_prices_only():
     # The LP layer holds no search vocabulary: the balance check reads each
     # blocker's group off the halted state, never off the certificate.
