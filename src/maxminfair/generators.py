@@ -14,16 +14,25 @@ KINDS = ("uniform", "fat-thin-mix", "clustered-desire")
 def generate_instance(
     kind: str, players: int, resources: int, seed: int
 ) -> Instance:
-    """Deterministic instance from (kind, players, resources, seed).
+    """The instance that is a pure function of (kind, players, resources, seed).
 
     uniform: values k/20 for k in 1..20, each desire an independent coin
     flip (per-player redraw until non-empty).  fat-thin-mix: a few value-1
     resources among many small 1/k ones.  clustered-desire: player groups
     share desire pools plus a common overlap, which stresses long blocking
     chains.
+
+    The random draws and their order are frozen: the perfbench pool, the
+    golden corpus and the tests pin seeds, so a change must leave every
+    instance byte-identical.  Generation costs O(P·R log R) for P players
+    and R resources.  Counts that are not ints of at least 1 (a bool is not
+    a count) raise `InvalidInstance`.
     """
     if kind not in KINDS:
         raise InvalidInstance(f"unknown generator kind {kind!r}")
+    for count in (players, resources):
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise InvalidInstance(f"counts must be ints, got {count!r}")
     if players < 1 or resources < 1:
         raise InvalidInstance(
             f"counts must be at least 1, got {players} players, {resources} resources"
@@ -58,14 +67,12 @@ def generate_instance(
             pool = pools[i % group_count]
             desires[p] = _coin_flip_desires(rng, pool)
 
+    position = {r: j for j, r in enumerate(resource_ids)}
     return validate_instance(
         {
             "players": player_ids,
-            "resources": [
-                {"id": r, "value": f"{values[r].numerator}/{values[r].denominator}"}
-                for r in resource_ids
-            ],
-            "desires": {p: sorted(desires[p], key=resource_ids.index) for p in player_ids},
+            "resources": [{"id": r, "value": values[r]} for r in resource_ids],
+            "desires": {p: sorted(desires[p], key=position.__getitem__) for p in player_ids},
         }
     )
 

@@ -182,8 +182,8 @@ def validate_instance(raw) -> Instance:
 
     `raw` follows the instance JSON layout: {"players": [id], "resources":
     [{"id": id, "value": rational}], "desires": {player: [resource]}}.
-    Ids keep their input order; values may be "p/q" strings, decimal strings
-    or ints.
+    Ids keep their input order; values may be "p/q" strings, decimal strings,
+    ints or Fractions.
     """
     if not isinstance(raw, Mapping):
         raise InvalidInstance("instance description must be a mapping")

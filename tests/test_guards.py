@@ -123,6 +123,29 @@ def test_dual_certificate_is_prices_only():
     assert named == []
 
 
+def test_generated_instances_go_through_validation():
+    # `validate_instance` is the one construction path, so every generated
+    # instance is checked like a user's; a desire sort keyed on `list.index`
+    # made generation O(P·R²), so the module reads no `.index` attribute.
+    tree = ast.parse((PACKAGE / "generators.py").read_text())
+    top = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    returned = [
+        node.value
+        for node in ast.walk(top["generate_instance"])
+        if isinstance(node, ast.Return)
+    ]
+    assert returned and all(
+        isinstance(value, ast.Call) and _is_named(value.func, "validate_instance")
+        for value in returned
+    )
+    indexed = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "index"
+    ]
+    assert indexed == []
+
+
 def _identifiers(node):
     fields = ("id", "attr", "name", "asname", "arg")
     return [getattr(node, f) for f in fields if isinstance(getattr(node, f, None), str)]
