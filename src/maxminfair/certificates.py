@@ -17,6 +17,17 @@ at once); and `check_blocker_balances` reads each blocker's players and
 resources off the halted state and re-plays the per-blocker accounting that
 makes the objective positive, which localizes any failure to a single
 blocker.
+
+Both checks run on one common denominator D per certificate, the LCM of its
+prices' denominators (`DualCertificate.numerators`).  A price absent from y
+or z reads as 0 in both.  Verification checks z >= 0 on the integers D·z and
+prices every player at them, so pricing decides in `int`s and returns an
+`int` cost; a margin is that cost minus D·y[p], over D.  The balances, their
+decomposition and the objective are `int` sums over D.  A `Fraction` is
+built only for what the reports carry: each margin, each balance, the
+objective and the failure messages.  Construction compares a covered thin
+resource's value v/target with 5/23 on the instance's integer weights and
+builds its price directly.
 """
 
 from __future__ import annotations
@@ -58,6 +69,13 @@ def construct_dual_certificate(
     active = state.active
     covered = state.covered
 
+    # A thin resource's normalized value is weight / (scale·target), below
+    # the cap 5/23 iff 23·weight·target.den < 5·scale·target.num.
+    weight = ni.base.weight
+    den = ni.base.scale * ni.target.numerator
+    num_cap = _THIN_CAP.denominator * ni.target.denominator
+    den_cap = _THIN_CAP.numerator * den
+
     y = {p: (_ACTIVE_PRICE if p in active else _ZERO) for p in ni.base.players}
     z = {}
     for r in ni.base.resources:
@@ -65,8 +83,10 @@ def construct_dual_certificate(
             z[r] = _ZERO
         elif ni.is_fat(r):
             z[r] = _ACTIVE_PRICE
+        elif weight[r] * num_cap < den_cap:
+            z[r] = Fraction(weight[r] * ni.target.denominator, den)
         else:
-            z[r] = min(ni.value(r), _THIN_CAP)
+            z[r] = _THIN_CAP
     return DualCertificate(y=y, z=z)
 
 
@@ -98,22 +118,28 @@ def verify_certificate_feasibility(
     priced (no margins).  Else configurations are priced on the instance at
     `ni.target`: the same bundles, costs and tie order as on a copy scaled
     to target 1.  A player with no configuration gets a None margin.
+
+    Every player is priced once, at the integer prices D·z over the
+    certificate's common denominator D, so each cost is an `int` compared
+    with D·y[p]; an absent price reads as 0.
     """
-    failures = [f"resource {r!r}: price {v} < 0" for r, v in cert.z.items() if v < 0]
+    d, y, z = cert.numerators()
+    failures = [f"resource {r!r}: price {cert.z[r]} < 0" for r, v in z.items() if v < 0]
     if failures:
         return FeasibilityReport(passed=False, margins={}, failures=tuple(failures))
     margins: dict[str, Optional[Fraction]] = {}
     for p in ni.base.players:
-        priced = min_cost_configuration(ni.base, p, cert.z, ni.target)
+        priced = min_cost_configuration(ni.base, p, z, ni.target)
         if priced is None:
             margins[p] = None
             continue
         cost, _ = priced
-        margin = cost - cert.y[p]
-        margins[p] = margin
-        if margin < 0:
+        price = y.get(p, 0)
+        margins[p] = Fraction(cost - price, d)
+        if cost < price:
             failures.append(
-                f"player {p!r}: cheapest configuration costs {cost} < y = {cert.y[p]}"
+                f"player {p!r}: cheapest configuration costs {Fraction(cost, d)} "
+                f"< y = {cert.y.get(p, _ZERO)}"
             )
     return FeasibilityReport(
         passed=not failures, margins=margins, failures=tuple(failures)
@@ -169,36 +195,44 @@ def check_blocker_balances(
     players (minus the root) and the covered resources, so the certificate
     objective decomposes as the root price plus the per-blocker balances;
     non-negative balances make it at least 15/23.
+
+    Every sum and comparison is on the `int` numerators over the
+    certificate's common denominator D, and an absent price reads as 0.
     """
+    d, y, z = cert.numerators()
     failures = []
     balances, group_players, group_resources = [], [], []
     for i, b in enumerate(state.blockers):
         players = tuple([e.player for e in b.blocking])
         resources = b.candidate.bundle.union(*[e.bundle for e in b.blocking])
         resources = tuple(ni.base.sorted_resources(resources))
-        inflow = sum((cert.y[p] for p in players), _ZERO)
-        balance = inflow - sum((cert.z[r] for r in resources), _ZERO)
+        inflow = sum([y.get(p, 0) for p in players])
+        balance = inflow - sum([z.get(r, 0) for r in resources])
         balances.append(balance)
         group_players.append(players)
         group_resources.append(resources)
         if balance < 0:
-            failures.append(f"blocker {i}: player prices fall short by {-balance}")
-    objective = cert.objective
-    decomposed = cert.y[state.root_player] + sum(balances, _ZERO)
+            failures.append(
+                f"blocker {i}: player prices fall short by {Fraction(-balance, d)}"
+            )
+    objective = sum(y.values()) - sum(z.values())
+    root = y.get(state.root_player, 0)
+    decomposed = root + sum(balances)
     if objective != decomposed:
         failures.append(
-            f"objective {objective} != root price + balances {decomposed}"
+            f"objective {Fraction(objective, d)} != root price + balances "
+            f"{Fraction(decomposed, d)}"
         )
-    if cert.y[state.root_player] != _ACTIVE_PRICE:
+    if root * _ACTIVE_PRICE.denominator != _ACTIVE_PRICE.numerator * d:
         failures.append("root player is not priced as active")
-    if objective < _ACTIVE_PRICE:
+    if objective * _ACTIVE_PRICE.denominator < _ACTIVE_PRICE.numerator * d:
         failures.append(
-            f"objective {objective} below the root price {_ACTIVE_PRICE}"
+            f"objective {Fraction(objective, d)} below the root price {_ACTIVE_PRICE}"
         )
     return BalanceReport(
         passed=not failures,
-        balances=tuple(balances),
-        objective=objective,
+        balances=tuple([Fraction(b, d) for b in balances]),
+        objective=Fraction(objective, d),
         failures=tuple(failures),
         players=tuple(group_players),
         resources=tuple(group_resources),

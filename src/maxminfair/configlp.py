@@ -91,9 +91,23 @@ class DualCertificate:
     y: Mapping[str, Fraction]
     z: Mapping[str, Fraction]
 
+    def numerators(self) -> tuple[int, dict[str, int], dict[str, int]]:
+        """(d, d·y, d·z): every price as an `int` numerator over one common
+        denominator d, the LCM of the prices' denominators."""
+        d = reduce(lcm, [v.denominator for v in self.y.values()], 1)
+        d = reduce(lcm, [v.denominator for v in self.z.values()], d)
+        return (
+            d,
+            {p: v.numerator * (d // v.denominator) for p, v in self.y.items()},
+            {r: v.numerator * (d // v.denominator) for r, v in self.z.items()},
+        )
+
     @property
     def objective(self) -> Fraction:
-        return sum(self.y.values(), _ZERO) - sum(self.z.values(), _ZERO)
+        """Σy - Σz: the numerators over d are summed as `int`s, and the one
+        `Fraction` is built from their difference."""
+        d, y, z = self.numerators()
+        return Fraction(sum(y.values()) - sum(z.values()), d)
 
     def scaled(self, factor: Fraction) -> "DualCertificate":
         factor = Fraction(factor)
@@ -141,14 +155,16 @@ def min_cost_configuration(
     zero-value resources never enter a bundle, and a missing price is 0.
     Prices (`int` or `Fraction`) and the target are read as given, and only
     the candidates' prices are read: one below 0 raises `NegativePrice`, as
-    the pruning needs every cost >= 0.
+    the pruning needs every cost >= 0, even for a player whose candidates
+    together fall short of the target.  That player gets None before any
+    cost is scaled.
 
     Exact branch and bound over integers: the values are the instance's
     weights, the target is rounded up onto their scale, and the costs are
     scaled by the LCM of their denominators, so every addition and comparison
     is on Python `int`s.  The cost is returned as that `int` when the LCM is
-    1, as it is at `clp_feasible`'s integer prices, and as a `Fraction`
-    otherwise.
+    1, as it is at the integer prices of `clp_feasible` and of certificate
+    verification, and as a `Fraction` otherwise.
     Candidates come in the instance's search order (descending value) and
     are pruned by the remaining achievable value and by the incumbent cost.
     A bundle is a bitmask with bit `1 << resource_index(r)` for each member,
@@ -168,9 +184,17 @@ def min_cost_configuration(
         return (_ZERO, frozenset())
 
     candidates = instance.candidates[player]
-    values = [instance.weight[r] for r in candidates]
-    bits = [1 << instance.resource_index(r) for r in candidates]
     exact_costs = [prices.get(r, 0) for r in candidates]
+    if min(exact_costs, default=0) < 0:
+        r, c = next((r, c) for r, c in zip(candidates, exact_costs) if c < 0)
+        raise NegativePrice(f"price of {r!r} is negative: {c}")
+    weight = instance.weight
+    values = [weight[r] for r in candidates]
+    goal = -(-target.numerator * instance.scale // target.denominator)
+    if sum(values) < goal:
+        return None
+
+    bits = [1 << instance.resource_index(r) for r in candidates]
     cost_scale = reduce(lcm, (c.denominator for c in exact_costs), 1)
     costs = []
     # need[i] is the bit of the previous candidate of i's class (same weight,
@@ -178,9 +202,7 @@ def min_cost_configuration(
     # the walk back stays within the run of i's weight.
     need = []
     run = 0
-    for i, (r, c) in enumerate(zip(candidates, exact_costs)):
-        if c.numerator < 0:
-            raise NegativePrice(f"price of {r!r} is negative: {c}")
+    for i, c in enumerate(exact_costs):
         cost = c.numerator * (cost_scale // c.denominator)
         if values[i] != values[run]:
             run = i
@@ -189,13 +211,10 @@ def min_cost_configuration(
             j -= 1
         need.append(bits[j] if j >= run else 0)
         costs.append(cost)
-    goal = -(-target.numerator * instance.scale // target.denominator)
     n = len(candidates)
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + values[i]
-    if suffix[0] < goal:
-        return None
 
     # No bundle costs more than every candidate together, so this bound
     # prunes nothing until the first covering bundle is found.

@@ -1,3 +1,5 @@
+import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,9 @@ from maxminfair import (
     normalize,
     verify_certificate_feasibility,
 )
+from maxminfair.configlp import min_cost_configuration
 from maxminfair.errors import StateNotStuck
+from maxminfair.generators import KINDS
 from maxminfair.matching import Edge, Matching, extend_matching
 from maxminfair.oracle import exact_T_star_enumerated
 
@@ -248,3 +252,227 @@ class TestEndToEndSoundness:
             for target in (t_star, t_star * F(2, 3)):
                 ni = normalize(inst, target)
                 assert find_perfect_matching(ni).perfect
+
+
+# Reference checks on plain `Fraction`s, one price at a time, with the same
+# messages as the integer checks; an absent price reads as 0.
+def reference_certificate(ni, state):
+    y = {p: (ACTIVE_PRICE if p in state.active else F(0)) for p in ni.base.players}
+    z = {}
+    for r in ni.base.resources:
+        if r not in state.covered:
+            z[r] = F(0)
+        elif ni.is_fat(r):
+            z[r] = ACTIVE_PRICE
+        else:
+            z[r] = min(ni.value(r), F(5, 23))
+    return DualCertificate(y=y, z=z)
+
+
+def reference_feasibility(ni, cert):
+    failures = [f"resource {r!r}: price {v} < 0" for r, v in cert.z.items() if v < 0]
+    if failures:
+        return False, {}, failures
+    margins = {}
+    for p in ni.base.players:
+        priced = min_cost_configuration(ni.base, p, cert.z, ni.target)
+        if priced is None:
+            margins[p] = None
+            continue
+        cost, _ = priced
+        price = cert.y.get(p, F(0))
+        margins[p] = cost - price
+        if cost < price:
+            failures.append(
+                f"player {p!r}: cheapest configuration costs {cost} < y = {price}"
+            )
+    return not failures, margins, failures
+
+
+def reference_balances(ni, state, cert):
+    def y(p):
+        return cert.y.get(p, F(0))
+
+    def z(r):
+        return cert.z.get(r, F(0))
+
+    balances, failures = [], []
+    for i, b in enumerate(state.blockers):
+        resources = b.candidate.bundle.union(*[e.bundle for e in b.blocking])
+        balance = sum((y(e.player) for e in b.blocking), F(0)) - sum(
+            (z(r) for r in resources), F(0)
+        )
+        balances.append(balance)
+        if balance < 0:
+            failures.append(f"blocker {i}: player prices fall short by {-balance}")
+    objective = sum(cert.y.values(), F(0)) - sum(cert.z.values(), F(0))
+    decomposed = y(state.root_player) + sum(balances, F(0))
+    if objective != decomposed:
+        failures.append(f"objective {objective} != root price + balances {decomposed}")
+    if y(state.root_player) != ACTIVE_PRICE:
+        failures.append("root player is not priced as active")
+    if objective < ACTIVE_PRICE:
+        failures.append(f"objective {objective} below the root price {ACTIVE_PRICE}")
+    return not failures, tuple(balances), objective, failures
+
+
+def assert_reports_match_reference(ni, state, cert):
+    feasibility = verify_certificate_feasibility(ni, cert)
+    passed, margins, failures = reference_feasibility(ni, cert)
+    assert feasibility.passed == passed
+    assert feasibility.margins == margins
+    assert list(feasibility.failures) == failures
+    assert all(type(m) is F for m in feasibility.margins.values() if m is not None)
+    balances = check_blocker_balances(ni, state, cert)
+    passed, expected, objective, failures = reference_balances(ni, state, cert)
+    assert balances.passed == passed
+    assert balances.balances == expected
+    assert all(type(b) is F for b in balances.balances)
+    assert balances.objective == objective == cert.objective
+    assert type(balances.objective) is F and type(cert.objective) is F
+    assert list(balances.failures) == failures
+    return feasibility, balances
+
+
+LADDER = (F(1, 2), F(1), F(3, 2), F(2), F(3), F(4))
+DENOMINATORS = (1, 3, 7, 23, 1000)
+
+
+@functools.lru_cache(maxsize=None)
+def halted_states():
+    """(ni, state) at the first rung of LADDER × ceiling where the search
+    halts, for each kind at 6×14, 8×20 and 10×25, generator seeds 0–9."""
+    states = []
+    for kind in KINDS:
+        for players, resources in ((6, 14), (8, 20), (10, 25)):
+            for seed in range(10):
+                inst = generate_instance(kind, players, resources, seed)
+                ceiling = min(
+                    sum((inst.value[r] for r in inst.desired_by(p)), F(0))
+                    for p in inst.players
+                )
+                for rung in LADDER:
+                    ni = normalize(inst, ceiling * rung)
+                    out = find_perfect_matching(ni)
+                    if not out.perfect:
+                        states.append((ni, out.state))
+                        break
+    return tuple(states)
+
+
+def forge(cert, rng, negative):
+    """Each price moved by a random multiple of 1/d, d drawn from
+    DENOMINATORS; without `negative`, every resource price stays >= 0."""
+
+    def move(v):
+        return v + F(rng.randint(-3, 3), rng.choice(DENOMINATORS))
+
+    y = {p: move(v) for p, v in cert.y.items()}
+    z = {r: move(v) for r, v in cert.z.items()}
+    if not negative:
+        z = {r: abs(v) for r, v in z.items()}
+    return DualCertificate(y=y, z=z)
+
+
+class TestIntegerPath:
+    def test_generated_certificates_match_the_fraction_checks(self):
+        states = halted_states()
+        assert len(states) == 90
+        for ni, state in states:
+            cert = construct_dual_certificate(ni, state)
+            assert cert == reference_certificate(ni, state)
+            assert all(type(v) is F for v in (*cert.y.values(), *cert.z.values()))
+            feasibility, balances = assert_reports_match_reference(ni, state, cert)
+            assert feasibility.passed and balances.passed
+            assert cert.objective >= ACTIVE_PRICE
+
+    def test_forged_mixed_denominators_fail_as_the_fraction_checks(self):
+        rng = random.Random(0)
+        failed = set()
+        for ni, state in halted_states()[::3]:
+            cert = construct_dual_certificate(ni, state)
+            for negative in (False, True):
+                forged = forge(cert, rng, negative)
+                feasibility, balances = assert_reports_match_reference(ni, state, forged)
+                failed.update(message.split(" ")[0] for message in feasibility.failures)
+                failed.update(message.split(" ")[0] for message in balances.failures)
+        # Every kind of failure occurs: negative price, short player, short
+        # blocker, objective and root price.
+        assert failed == {"resource", "player", "blocker", "objective", "root"}
+
+    def test_forged_messages(self):
+        # Recorded before the checks ran on integers.  The balances read the
+        # halted state at target 1, where no configuration exists; pricing
+        # runs at 8/23, where each player's two resources are one.
+        inst = make_instance(
+            {"u": "4/23", "v": "4/23", "w": "4/23"},
+            {"p1": ["u", "v"], "p2": ["v", "w"]},
+        )
+        ni = normalize(inst, F(1))
+        out = extend_matching(
+            ni, Matching.of([Edge("p1", frozenset({"u", "v"}), "thin")]), "p2"
+        )
+        forged = DualCertificate(
+            y={"p1": F(2, 3), "p2": F(5, 7)},
+            z={"u": F(1, 1000), "v": F(6, 23), "w": F(1, 2)},
+        )
+        assert verify_certificate_feasibility(ni, forged).margins == {
+            "p1": None,
+            "p2": None,
+        }
+        feasibility = verify_certificate_feasibility(normalize(inst, F(8, 23)), forged)
+        assert feasibility.failures == (
+            "player 'p1': cheapest configuration costs 6023/23000 < y = 2/3",
+        )
+        assert feasibility.margins == {"p1": F(-27931, 69000), "p2": F(15, 322)}
+        balances = check_blocker_balances(ni, out.state, forged)
+        assert balances.failures == (
+            "blocker 0: player prices fall short by 6569/69000",
+            "root player is not priced as active",
+            "objective 299017/483000 below the root price 15/23",
+        )
+        assert balances.balances == (F(-6569, 69000),)
+        assert balances.objective == F(299017, 483000)
+        negative = DualCertificate(y=forged.y, z={**forged.z, "v": F(-1, 3)})
+        assert verify_certificate_feasibility(ni, negative).failures == (
+            "resource 'v': price -1/3 < 0",
+        )
+
+    def test_absent_price_reads_as_zero(self, shared_single):
+        # z lacks "r": feasibility prices it at 0 and fails, and the balance
+        # check reads the same 0 instead of raising KeyError; an absent
+        # player price reads as 0 in both.
+        ni, state = stuck_state(shared_single)
+        forged = DualCertificate(y={"p1": ACTIVE_PRICE, "p2": ACTIVE_PRICE}, z={})
+        feasibility = verify_certificate_feasibility(ni, forged)
+        assert not feasibility.passed
+        assert feasibility.margins == {"p1": -ACTIVE_PRICE, "p2": -ACTIVE_PRICE}
+        balances = check_blocker_balances(ni, state, forged)
+        assert balances.passed
+        assert balances.balances == (ACTIVE_PRICE,)
+        assert balances.objective == 2 * ACTIVE_PRICE
+        no_y = DualCertificate(y={}, z={"r": ACTIVE_PRICE})
+        assert verify_certificate_feasibility(ni, no_y).margins == {
+            "p1": ACTIVE_PRICE,
+            "p2": ACTIVE_PRICE,
+        }
+        balances = check_blocker_balances(ni, state, no_y)
+        assert balances.balances == (-ACTIVE_PRICE,)
+        assert "root player is not priced as active" in balances.failures
+
+    def test_verification_prices_each_player_once_at_int_prices(self, monkeypatch):
+        calls = []
+
+        def spy(instance, player, prices, target):
+            assert all(type(v) is int for v in prices.values())
+            priced = min_cost_configuration(instance, player, prices, target)
+            assert priced is None or type(priced[0]) is int
+            calls.append(player)
+            return priced
+
+        monkeypatch.setattr(certificates, "min_cost_configuration", spy)
+        for ni, state in halted_states()[::10]:
+            cert = construct_dual_certificate(ni, state)
+            calls.clear()
+            verify_certificate_feasibility(ni, cert)
+            assert calls == list(ni.base.players)

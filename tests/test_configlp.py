@@ -126,6 +126,14 @@ class TestMinCostConfiguration:
         with pytest.raises(NegativePrice):
             min_cost_configuration(two_fat, "p1", {"a": F(-1)}, F(1))
 
+    def test_negative_price_rejected_when_target_unreachable(self):
+        # p's candidates fall short of the target, so it has no
+        # configuration, yet a negative candidate price still raises.
+        inst = make_instance({"a": "3/4", "b": "1/8"}, {"p": ["a", "b"]})
+        assert min_cost_configuration(inst, "p", {"b": F(1, 3)}, F(1)) is None
+        with pytest.raises(NegativePrice, match="price of 'b' is negative: -1/3"):
+            min_cost_configuration(inst, "p", {"b": F(-1, 3)}, F(1))
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_reads_only_candidate_prices(self, data):
