@@ -41,9 +41,11 @@ is feasible there.  An infeasible probe lowers the upper end to its top,
 the largest value of a bundle that costs less than its player's price y,
 over the players with y > 0: above the top every configuration costs at
 least its player's y, so the probe's prices stay dual feasible with a
-positive objective, and CLP is infeasible there.  Both the pricing and
-these bounds read the instance's integer values, so the only LCMs computed
-here are the ones of the prices.
+positive objective, and CLP is infeasible there.  Both configuration
+searches, the pricing and the top, walk one candidate order (`_traversal`)
+over the instance's integer values and read prices as given, so the only
+LCM computed here is the prices' common denominator, in
+`DualCertificate.numerators`.
 """
 
 from __future__ import annotations
@@ -142,6 +144,32 @@ class ClpVerdict:
         return self.status == FEASIBLE
 
 
+def _traversal(instance: Instance, candidates: tuple[str, ...], costs: list) -> tuple:
+    """The walk of both configuration searches, pricing and the top, over
+    `candidates` at `costs` (one price per candidate): by descending weight,
+    then cost, then index.
+
+    Returns the resources, weights, costs and bits (`1 << resource_index`)
+    in that order; need[i], the bit of i's predecessor in its run of equal
+    weight (0 at a run's head); and suffix[i], the weight of i and on.  A
+    search lets i join a bundle only after need[i], so a run joins as its
+    cheapest prefix.  No answer is lost: swapping i for a missing earlier j
+    of its run keeps the weight and the size, costs no more, and at equal
+    cost holds the lower index.
+    """
+    weight, index = instance.weight, instance.resource_index
+    order = sorted([(-weight[r], c, 1 << index(r), r) for r, c in zip(candidates, costs)])
+    neg, costs, bits, resources = zip(*order) if order else ((),) * 4
+    values = [-w for w in neg]
+    need = [0] * len(order)
+    suffix = [0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + values[i]
+        if i and values[i - 1] == values[i]:
+            need[i] = bits[i - 1]
+    return resources, values, costs, bits, need, suffix
+
+
 def min_cost_configuration(
     instance: Instance,
     player: str,
@@ -153,68 +181,40 @@ def min_cost_configuration(
     Returns the argmin of (cost, bundle size, sorted resource indices) over
     the bundles of positive-value desired resources worth at least `target`;
     zero-value resources never enter a bundle, and a missing price is 0.
-    Prices (`int` or `Fraction`) and the target are read as given, and only
+    Prices and the target are read as given, so the cost is an `int` at the
+    integer prices of `clp_feasible` and of certificate verification.  Only
     the candidates' prices are read: one below 0 raises `NegativePrice`, as
     the pruning needs every cost >= 0, even for a player whose candidates
     together fall short of the target.  That player gets None before any
-    cost is scaled.
+    search.
 
-    Exact branch and bound over integers: the values are the instance's
-    weights, the target is rounded up onto their scale, and the costs are
-    scaled by the LCM of their denominators, so every addition and comparison
-    is on Python `int`s.  The cost is returned as that `int` when the LCM is
-    1, as it is at the integer prices of `clp_feasible` and of certificate
-    verification, and as a `Fraction` otherwise.
-    Candidates come in the instance's search order (descending value) and
-    are pruned by the remaining achievable value and by the incumbent cost.
-    A bundle is a bitmask with bit `1 << resource_index(r)` for each member,
-    so the tie rule is two bit operations: the smaller `bit_count()` wins,
-    and at equal size the mask holding the lowest bit of the symmetric
+    Exact branch and bound over the instance's weights, with the target
+    rounded up onto their scale, walking the candidates in `_traversal`
+    order and pruned by the remaining achievable value and by the incumbent
+    cost.  A bundle is a bitmask with bit `1 << resource_index(r)` for each
+    member, so the tie rule is two bit operations: the smaller `bit_count()`
+    wins, and at equal size the mask holding the lowest bit of the symmetric
     difference wins, which is the smaller list of sorted indices.  A node
     short of the target that costs as much as the incumbent and already
     has as many resources is cut: any completion adds a resource at no
-    lower cost and loses the tie on size.  Candidates of equal weight and
-    equal scaled cost are interchangeable, and one joins a bundle only after
-    its predecessor in that class (candidate order is index order there):
-    swapping a member for a missing lower-index one keeps the value, the
-    cost and the size, and wins the tie, so no argmin is cut.
+    lower cost and loses the tie on size.
     """
     instance.player_index(player)
     if target <= 0:
         return (_ZERO, frozenset())
 
     candidates = instance.candidates[player]
-    exact_costs = [prices.get(r, 0) for r in candidates]
-    if min(exact_costs, default=0) < 0:
-        r, c = next((r, c) for r, c in zip(candidates, exact_costs) if c < 0)
+    costs = [prices.get(r, 0) for r in candidates]
+    if min(costs, default=0) < 0:
+        r, c = next((r, c) for r, c in zip(candidates, costs) if c < 0)
         raise NegativePrice(f"price of {r!r} is negative: {c}")
     weight = instance.weight
-    values = [weight[r] for r in candidates]
     goal = -(-target.numerator * instance.scale // target.denominator)
-    if sum(values) < goal:
+    if sum(weight[r] for r in candidates) < goal:
         return None
-
-    bits = [1 << instance.resource_index(r) for r in candidates]
-    cost_scale = reduce(lcm, (c.denominator for c in exact_costs), 1)
-    costs = []
-    # need[i] is the bit of the previous candidate of i's class (same weight,
-    # same cost), or 0.  Equal weights are adjacent in candidate order, so
-    # the walk back stays within the run of i's weight.
-    need = []
-    run = 0
-    for i, c in enumerate(exact_costs):
-        cost = c.numerator * (cost_scale // c.denominator)
-        if values[i] != values[run]:
-            run = i
-        j = i - 1
-        while j >= run and costs[j] != cost:
-            j -= 1
-        need.append(bits[j] if j >= run else 0)
-        costs.append(cost)
-    n = len(candidates)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + values[i]
+    resources, values, costs, bits, need, suffix = _traversal(
+        instance, candidates, costs
+    )
 
     # No bundle costs more than every candidate together, so this bound
     # prunes nothing until the first covering bundle is found.
@@ -252,7 +252,7 @@ def min_cost_configuration(
         # order: exclusion pushed first).
         if val + suffix[i + 1] >= goal:
             stack.append((i + 1, val, cost, chosen))
-        # A class joins in index order: i only after its class predecessor.
+        # A run of equal weight joins as its cheapest prefix.
         if cost + costs[i] <= best_cost and (not need[i] or chosen & need[i]):
             stack.append((i + 1, val + values[i], cost + costs[i], chosen | bits[i]))
 
@@ -261,10 +261,7 @@ def min_cost_configuration(
             f"pricing found no configuration for {player!r} although the "
             f"desired value reaches {target}"
         )
-    return (
-        best_cost if cost_scale == 1 else Fraction(best_cost, cost_scale),
-        frozenset(r for r, b in zip(candidates, bits) if best & b),
-    )
+    return best_cost, frozenset(r for r, b in zip(resources, bits) if best & b)
 
 
 def clp_feasible(instance: Instance, target: Fraction) -> ClpVerdict:
@@ -411,33 +408,30 @@ def _top(instance: Instance, prices: DualCertificate) -> int:
     """The largest weight of a bundle that costs less than its player's y at
     the resource prices z, over the players with y > 0, in `weight` units.
 
-    One integer max-value branch and bound per priced player: its candidates
-    in search order, costs scaled by the LCM of their denominators and y's,
-    and a node cut when even all the remaining candidates cannot lift it
-    above the best weight found so far, for this player or an earlier one.
+    The prices are read once as `int` numerators (`numerators`), an absent
+    one as 0.  One max-weight branch and bound per priced player walks its
+    candidates in `_traversal` order and cuts a node when even all the
+    remaining candidates cannot lift it above the best weight found so far,
+    for this player or an earlier one.
     """
+    _, y, z = prices.numerators()
     top = -1
-    for p, y in prices.y.items():
-        if y <= 0:
+    for p, spend in y.items():
+        if spend <= 0:
             continue
         candidates = instance.candidates[p]
-        values = [instance.weight[r] for r in candidates]
-        exact_costs = [prices.z[r] for r in candidates]
-        cost_scale = reduce(lcm, (c.denominator for c in exact_costs), y.denominator)
-        costs = [c.numerator * (cost_scale // c.denominator) for c in exact_costs]
-        spend = y.numerator * (cost_scale // y.denominator) - 1  # cost < y
-        suffix = [0] * (len(values) + 1)
-        for i in range(len(values) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + values[i]
-        stack = [(0, 0, 0)]  # (next candidate, value, cost)
+        _, values, costs, bits, need, suffix = _traversal(
+            instance, candidates, [z.get(r, 0) for r in candidates]
+        )
+        stack = [(0, 0, 0, 0)]  # (next candidate, value, cost, chosen bits)
         while stack:
-            i, val, cost = stack.pop()
+            i, val, cost, chosen = stack.pop()
             top = max(top, val)
             if val + suffix[i] <= top:
                 continue
-            stack.append((i + 1, val, cost))
-            if cost + costs[i] <= spend:
-                stack.append((i + 1, val + values[i], cost + costs[i]))
+            stack.append((i + 1, val, cost, chosen))
+            if cost + costs[i] < spend and (not need[i] or chosen & need[i]):
+                stack.append((i + 1, val + values[i], cost + costs[i], chosen | bits[i]))
     return top
 
 

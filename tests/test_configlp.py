@@ -19,6 +19,7 @@ from maxminfair import (
     normalize,
     oracle,
     validate_instance,
+    verify_certificate_feasibility,
 )
 from maxminfair.configlp import (
     FEASIBLE,
@@ -202,15 +203,37 @@ class TestMinCostConfiguration:
             assert enumerate_min_cost(inst, "p", prices, F(k)) == expected
 
     def test_interchangeable_class_skips_unequal_prices(self):
-        # Equal values, prices alternating by index: a resource's class
-        # predecessor is two candidates back, not the adjacent one.  Target
-        # 6 takes the four cheap resources and the two lowest dear ones.
+        # Equal values, prices alternating by index: the run is walked in
+        # price order, the four cheap resources first and then the dear
+        # ones by index, so it joins as that order's prefix.  Target 6
+        # takes the four cheap resources and the two lowest dear ones.
         names = [f"r{j}" for j in range(8)]
         inst = make_instance({r: 1 for r in names}, {"p": names[::-1]})
         prices = {r: F(1 + j % 2, 3) for j, r in enumerate(names)}
         expected = (F(8, 3), frozenset({"r0", "r1", "r2", "r3", "r4", "r6"}))
         assert enumerate_min_cost(inst, "p", prices, F(6)) == expected
         assert min_cost_configuration(inst, "p", prices, F(6)) == expected
+
+    def test_run_joins_in_price_order_against_index_order(self):
+        # Equal values with prices falling as the index rises: price order
+        # inside the run is the reverse of index order, and target k takes
+        # the k cheapest, the k highest indices, at Fraction and at int
+        # prices.  At one equal price, target k takes the k lowest.
+        for n in range(1, 9):
+            names = [f"r{j}" for j in range(n)]
+            inst = make_instance({r: 1 for r in names}, {"p": names[::-1]})
+            falling = {r: F(n - j, 7) for j, r in enumerate(names)}
+            whole = {r: n - j for j, r in enumerate(names)}
+            flat = dict.fromkeys(names, F(2, 7))
+            for k in range(1, n + 1):
+                cheapest = frozenset(names[n - k :])
+                expected = (sum(falling[r] for r in cheapest), cheapest)
+                assert enumerate_min_cost(inst, "p", falling, F(k)) == expected
+                assert min_cost_configuration(inst, "p", falling, F(k)) == expected
+                cost, bundle = min_cost_configuration(inst, "p", whole, F(k))
+                assert type(cost) is int and (cost, bundle) == (7 * expected[0], cheapest)
+                expected = (F(2 * k, 7), frozenset(names[:k]))
+                assert min_cost_configuration(inst, "p", flat, F(k)) == expected
 
     def test_equal_price_unequal_value_is_not_interchangeable(self):
         # r1 comes first in candidate order (higher value) at r0's price, but
@@ -258,11 +281,12 @@ class TestMinCostConfiguration:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_agrees_with_enumeration(self, data):
-        # Denominators up to 1000 make the scaling LCMs large; small separate
-        # palettes of values and of prices make equal-cost bundles, which
-        # exercise the tie rule, and interleave resources of equal value but
-        # unequal price with resources of equal price but unequal value,
-        # which only the first kind may treat as interchangeable; zero
+        # Denominators up to 1000 make the price sums large Fractions; small
+        # separate palettes of values and of prices make equal-cost bundles,
+        # which exercise the tie rule, and interleave resources of equal
+        # value but unequal price, which a run walks in price order, with
+        # resources of equal price but unequal value, which sit in
+        # different runs and never wait for one another; zero
         # values, a missing price, a price on a resource the player does not
         # desire, int values and prices (read as given, with no `Fraction`
         # copy) and an int target are all drawn.
@@ -592,13 +616,14 @@ def value_cap(instance):
 
 def enumerated_top(instance, prices):
     """Oracle: the largest value of a bundle that costs less than its
-    player's y at the prices z, over the players with y > 0."""
+    player's y at the prices z, over the players with y > 0; an absent
+    price is 0."""
     return max(
         sum((instance.value[r] for r in combo), F(0))
         for p in instance.players
-        if prices.y[p] > 0
+        if prices.y.get(p, 0) > 0
         for combo in powerset(instance.desired_by(p))
-        if sum((prices.z[r] for r in combo), F(0)) < prices.y[p]
+        if sum((prices.z.get(r, 0) for r in combo), F(0)) < prices.y[p]
     )
 
 
@@ -725,6 +750,56 @@ class TestTStarBounds:
                 jumps += above < target
             assert lo == hi == t_star * scale
         assert jumps
+
+    def test_top_reads_an_absent_price_as_zero(self):
+        # z prices only a.  The feasibility check reads b's absent price as
+        # 0, and so does the top: {b} costs 0 < y = 1 for p.
+        inst = make_instance({"a": 1, "b": F(1, 2)}, {"p": ["a", "b"], "q": ["a"]})
+        prices = DualCertificate(y={"p": F(1), "q": F(0)}, z={"a": F(1)})
+        report = verify_certificate_feasibility(normalize(inst, F(1)), prices)
+        assert report.passed and report.margins["p"] == 0
+        assert F(configlp._top(inst, prices), inst.scale) == F(1, 2)
+        assert enumerated_top(inst, prices) == F(1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_top_agrees_with_enumeration(self, data):
+        # Small palettes give runs of equal value at unequal prices and
+        # equal prices across runs; zero values, zero and absent prices,
+        # players with y = 0 or no y, and int and Fraction prices are all
+        # drawn.  The first player has y > 0, so some bundle is priced.
+        rationals = st.one_of(
+            st.integers(0, 3),
+            st.fractions(min_value=0, max_value=3, max_denominator=12),
+        )
+        value_palette = data.draw(st.lists(rationals, min_size=1, max_size=3))
+        price_palette = data.draw(st.lists(rationals, min_size=1, max_size=3))
+        resources = [f"r{j}" for j in range(data.draw(st.integers(1, 8)))]
+        players = [f"p{k}" for k in range(data.draw(st.integers(1, 3)))]
+        inst = make_instance(
+            {r: data.draw(st.sampled_from(value_palette)) for r in resources},
+            {
+                p: data.draw(st.lists(st.sampled_from(resources), min_size=1, unique=True))
+                for p in players
+            },
+        )
+        positive = st.one_of(
+            st.integers(1, 4), st.fractions(min_value=F(1, 12), max_value=4)
+        )
+        maybe = st.one_of(st.none(), st.just(0), rationals)
+        y = {}
+        for k, p in enumerate(players):
+            if (v := data.draw(positive if k == 0 else maybe)) is not None:
+                y[p] = v
+        price = st.one_of(st.none(), st.sampled_from(price_palette))
+        z = {}
+        for r in resources:
+            if (v := data.draw(price)) is not None:
+                z[r] = v
+        prices = DualCertificate(y=y, z=z)
+        top = configlp._top(inst, prices)
+        assert type(top) is int
+        assert F(top, inst.scale) == enumerated_top(inst, prices)
 
     def test_top_at_target_raises(self, monkeypatch, floor_below_cap):
         # Prices under which a bundle worth the probed target costs less than

@@ -108,6 +108,29 @@ def test_t_star_search_starts_from_the_checked_floor():
     assert raised.count("compute_T_star") == 3
 
 
+def test_configuration_searches_share_one_traversal_and_one_price_conversion():
+    # Pricing and the top walk the candidates in one order with one prefix
+    # rule, built by `_traversal`, and prices become integers only in
+    # `DualCertificate.numerators`: no search scales costs by its own LCM.
+    tree = ast.parse((PACKAGE / "configlp.py").read_text())
+    assert sorted(_calling_scopes(tree, "_traversal")) == [
+        "_top",
+        "min_cost_configuration",
+    ]
+    lcm_scopes = _scopes_of(
+        tree, lambda node: isinstance(node, ast.Name) and node.id == "lcm"
+    )
+    assert lcm_scopes and set(lcm_scopes) == {"numerators"}
+    numerators = [
+        node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "DualCertificate"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "numerators"
+    ]
+    assert len(numerators) == 1
+
+
 def test_dual_certificate_is_prices_only():
     # The LP layer holds no search vocabulary: the balance check reads each
     # blocker's group off the halted state, never off the certificate.
